@@ -340,7 +340,10 @@ def symbolic_outcomes(
     ``co`` restricted to the edges the enumerative engine can produce —
     morally strong pairs, init-write edges, and causality-forced edges —
     which maps every spuriously-ordered instance onto the outcome of its
-    minimally-ordered counterpart.
+    minimally-ordered counterpart.  ``sc`` is likewise free on
+    ``fence.sc`` pairs that are not morally strong, which the enumerative
+    engine never orients, so ``cause`` is decoded over the closure of the
+    instance's ``sc`` restricted to morally strong pairs.
 
     Raises :class:`UnsupportedProgram` when some write's value is
     data-dependent (the instance alone cannot determine it).
@@ -401,7 +404,8 @@ def symbolic_outcomes(
             dst = elab.read_dst.get(read.eid)
             if dst is not None:
                 registers[(read.thread, dst)] = value_of(write)
-        bound = env.bind("rf", env.to_kernel(rf)).bind("sc", env.to_kernel(sc))
+        sc_ms = (env.to_kernel(sc) & ms).closure()
+        bound = env.bind("rf", env.to_kernel(rf)).bind("sc", sc_ms)
         cause = eval_expr(cause_expr, bound)
         observable_co = Relation(
             (a, b)

@@ -13,10 +13,10 @@ Three layers:
 
 * **Template** (per model): generated source code keyed by the identity
   of the axiom ASTs and the dynamic-variable staging.  Each composite
-  AST node becomes a *slot* in a flat list; each syntactic reference
-  site becomes an inline cache probe.  Static subtrees — everything
-  independent of the enumerated rf/sc/co witnesses — fold to constants
-  closed over the generated functions.
+  AST node that depends on an enumerated rf/sc/co witness becomes a
+  *slot* in a flat list, read through an inline cache probe at each
+  reference site.  Static subtrees — everything independent of the
+  witnesses — fold to constants closed over the generated functions.
 * **Instance** (per model × test signature): the template's constants
   evaluated over the concrete execution's bitset environment, cached in
   an LRU so suites and the fuzz farm compile once per distinct program.
@@ -25,15 +25,12 @@ Three layers:
   and mutating in place for the innermost witness (co), mirroring
   :meth:`~repro.lang.eval.Env.bind`'s copy-and-filter cache semantics.
 
-**Byte-identical verdicts are the contract.**  The set/bit kernels
-expose their memo hit/miss counters through ``EnumStats``, which is part
-of the serialized verdict digest, so the generated code reproduces the
-interpreter's counting *exactly*: every composite node reference emits a
-probe that counts one miss (and recurses into child probes) or one hit,
-static folds included; specialized emptiness/acyclicity checks keep a
-sentinel slot so repeat evaluations count hits precisely where the
-interpreter's cache would have.  The three-way agreement tests hold all
-kernels to identical outcomes, stats, and digests.
+**Identical outcomes are the contract.**  The engines count their
+search work (rf assignments, prunes, candidates, axiom failures) outside
+the kernel, so those counters agree across all three kernels.  The
+generated code keeps no memo counters: ``EnumStats.memo_hits`` and
+``memo_misses`` are telemetry from the interpreted kernels only and stay
+zero here.  No counter is part of the verdict digest.
 """
 
 from __future__ import annotations
@@ -253,21 +250,9 @@ _HELPERS = {
 # template construction (codegen)
 # ----------------------------------------------------------------------
 
-_EXPR_CHILD_ATTRS = ("left", "right", "inner")
-
-
-def _expr_children(node) -> List[ast.Expr]:
-    out = []
-    for attr in _EXPR_CHILD_ATTRS:
-        child = getattr(node, attr, None)
-        if isinstance(child, ast.Expr):
-            out.append(child)
-    return out
-
-
-#: fused-check plans: id(inner expr node) -> (kind, children in
-#: interpreter evaluation order, helper argument variables' positions)
-_Fused = Tuple[str, Tuple[ast.Expr, ...], Tuple[int, ...]]
+#: fused-check plans: id(inner expr node) -> (kind, the helper's
+#: argument expressions in order)
+_Fused = Tuple[str, Tuple[ast.Expr, ...]]
 
 
 class _TemplateBuilder:
@@ -338,7 +323,7 @@ class _TemplateBuilder:
                 and e.left.arity == 2
                 and e.right.arity == 2
             ):
-                self.fused[id(e)] = ("irr_join", (e.left, e.right), (0, 1))
+                self.fused[id(e)] = ("irr_join", (e.left, e.right))
             return
         if t is not ast.NoF:
             return
@@ -350,28 +335,18 @@ class _TemplateBuilder:
             or e.arity != 2
         ):
             return
-        for join, other, order in (
-            (e.left, e.right, None),
-            (e.right, e.left, None),
-        ):
+        for join, other in ((e.left, e.right), (e.right, e.left)):
             if (
                 type(join) is ast.Join
                 and self._single(join)
                 and join.left.arity == 2
                 and join.right.arity == 2
-                # both probes must always miss/hit together: the fused
-                # check counts two misses whenever the Inter slot misses
-                and var_deps(join) == var_deps(e)
             ):
-                if join is e.left:
-                    children = (join.left, join.right, other)
-                    argpos = (0, 1, 2)
-                else:
-                    children = (other, join.left, join.right)
-                    argpos = (1, 2, 0)
-                self.fused[id(e)] = ("no_join_inter", children, argpos)
+                self.fused[id(e)] = (
+                    "no_join_inter", (join.left, join.right, other)
+                )
                 return
-        self.fused[id(e)] = ("no_inter", (e.left, e.right), (0, 1))
+        self.fused[id(e)] = ("no_inter", (e.left, e.right))
 
     # -- node bookkeeping ----------------------------------------------
 
@@ -454,7 +429,6 @@ class _FnEmitter:
     def __init__(self, builder: _TemplateBuilder):
         self.b = builder
         self.sites = 0
-        self.bools = 0
 
     def _site(self) -> int:
         self.sites += 1
@@ -463,15 +437,13 @@ class _FnEmitter:
     def _indent(self, depth: int) -> str:
         return "    " * depth
 
-    # Every reference to a composite node emits a probe mirroring the
-    # interpreter's per-Env memo: one miss (recursing into children,
-    # exactly as ``_eval_composite`` would) or one hit.
     def expr(self, node, lines: List[str], depth: int) -> str:
         b = self.b
         if type(node) is ast.Var:
             idx = b.dyn_index.get(node.name)
             if idx is not None:
                 return f"B[{idx}]"
+        if b.is_static(node):
             return f"C[{b.const(node)}]"
         if id(node) in b.fused:
             return self.fused(node, lines, depth)
@@ -480,21 +452,10 @@ class _FnEmitter:
         pad = self._indent(depth)
         lines.append(f"{pad}{v} = S[{slot}]")
         lines.append(f"{pad}if {v} is None:")
-        if b.is_static(node):
-            # constant-folded, but the children are still probed inside
-            # the miss branch so the memo counters match the interpreter
-            for child in _expr_children(node):
-                if type(child) is not ast.Var:
-                    self.expr(child, lines, depth + 1)
-            value = f"C[{b.const(node)}]"
-        else:
-            value = self.compute(node, lines, depth + 1)
+        value = self.compute(node, lines, depth + 1)
         inner = self._indent(depth + 1)
         lines.append(f"{inner}{v} = {value}")
         lines.append(f"{inner}S[{slot}] = {v}")
-        lines.append(f"{inner}m += 1")
-        lines.append(f"{pad}else:")
-        lines.append(f"{inner}h += 1")
         return v
 
     def compute(self, node, lines: List[str], depth: int) -> str:
@@ -542,28 +503,23 @@ class _FnEmitter:
         """A fused boolean check: the node's slot holds the *verdict*
         (it has exactly one reference site, so nothing reads a value)."""
         b = self.b
-        kind, children, argpos = b.fused[id(node)]
+        kind, children = b.fused[id(node)]
         slot = b.slot(node)
         v = f"v{slot}_{self._site()}"
         pad = self._indent(depth)
         inner = self._indent(depth + 1)
         lines.append(f"{pad}{v} = S[{slot}]")
         lines.append(f"{pad}if {v} is None:")
-        child_vars = [
+        args = ", ".join(
             self.expr(child, lines, depth + 1) for child in children
-        ]
-        args = ", ".join(child_vars[i] for i in argpos)
+        )
         helper = {
             "irr_join": "_irr_join",
             "no_inter": "_no_inter",
             "no_join_inter": "_no_join_inter",
         }[kind]
-        misses = 2 if kind == "no_join_inter" else 1
         lines.append(f"{inner}{v} = {helper}({args})")
         lines.append(f"{inner}S[{slot}] = {v}")
-        lines.append(f"{inner}m += {misses}")
-        lines.append(f"{pad}else:")
-        lines.append(f"{inner}h += 1")
         return v
 
     # -- formulas ------------------------------------------------------
@@ -627,13 +583,10 @@ class _FnEmitter:
 
     # -- function shells -----------------------------------------------
 
-    def _shell(self, name: str, body: List[str], result: Optional[str]) -> str:
-        lines = [f"def {name}(S, B, st):", "    h = 0", "    m = 0"]
+    def _shell(self, name: str, body: List[str], result: str) -> str:
+        lines = [f"def {name}(S, B):"]
         lines.extend(body)
-        lines.append("    if st is not None:")
-        lines.append("        st.add_memo(h, m)")
-        if result is not None:
-            lines.append(f"    return {result}")
+        lines.append(f"    return {result}")
         return "\n".join(lines)
 
     def formula_fn(self, name: str, formula) -> str:
@@ -645,7 +598,7 @@ class _FnEmitter:
         body: List[str] = []
         for root in roots:
             self.expr(root, body, 1)
-        return self._shell(name, body, None)
+        return self._shell(name, body, "None")
 
     def expr_fn(self, name: str, expr) -> str:
         body: List[str] = []
@@ -799,13 +752,11 @@ class CompiledEnv:
     would have supplied.
     """
 
-    __slots__ = ("model", "frame", "stats")
+    __slots__ = ("model", "frame")
 
-    def __init__(self, model: CompiledModel, frame: Optional[Frame] = None,
-                 stats=None):
+    def __init__(self, model: CompiledModel, frame: Optional[Frame] = None):
         self.model = model
         self.frame = frame if frame is not None else model.new_frame()
-        self.stats = stats
 
     def bind(self, name: str, value) -> "CompiledEnv":
         model = self.model
@@ -814,7 +765,7 @@ class CompiledEnv:
             return self
         frame = self.frame.fork()
         model.set_binding(frame, name, value)
-        return CompiledEnv(model, frame, self.stats)
+        return CompiledEnv(model, frame)
 
     def _wrap(self, raw):
         """Re-wrap a raw in-frame value for the engine boundary."""
@@ -837,23 +788,17 @@ class CompiledEnv:
 
     def formula(self, node) -> bool:
         frame = self.frame
-        return self.model.formulas[id(node)](
-            frame.slots, frame.bindings, self.stats
-        )
+        return self.model.formulas[id(node)](frame.slots, frame.bindings)
 
     def expr(self, node):
         frame = self.frame
         return self._wrap(
-            self.model.exprs[id(node)](
-                frame.slots, frame.bindings, self.stats
-            )
+            self.model.exprs[id(node)](frame.slots, frame.bindings)
         )
 
     def warm(self, node, names: FrozenSet[str]) -> None:
         frame = self.frame
-        self.model.warms[(id(node), names)](
-            frame.slots, frame.bindings, self.stats
-        )
+        self.model.warms[(id(node), names)](frame.slots, frame.bindings)
 
     # -- value factories (delegated to the instance's bit environment) --
 
@@ -927,9 +872,7 @@ def compiled_model(
         COMPILE_STATS.hits += 1
         return inst
     template = _template_for(formulas, exprs, tuple(dynamic), warm_names)
-    env = env_factory()
-    env.stats = None  # constant folding must not count
-    inst = CompiledModel(template, env, frozenset(mutate))
+    inst = CompiledModel(template, env_factory(), frozenset(mutate))
     COMPILE_STATS.instances += 1
     _INSTANCES[key] = inst
     while len(_INSTANCES) > _INSTANCE_CAP:

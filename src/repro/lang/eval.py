@@ -55,26 +55,6 @@ def var_deps(node) -> FrozenSet[str]:
 
 
 @dataclass
-class EvalStats:
-    """Memoisation counters for one evaluation context."""
-
-    hits: int = 0
-    misses: int = 0
-
-    def hit(self) -> None:
-        self.hits += 1
-
-    def miss(self) -> None:
-        self.misses += 1
-
-    def add_memo(self, hits: int, misses: int) -> None:
-        """Bulk form of :meth:`hit`/:meth:`miss` (compiled kernels count
-        locally and flush once per generated function call)."""
-        self.hits += hits
-        self.misses += misses
-
-
-@dataclass
 class Env:
     """A concrete interpretation: universe of atoms + named relations.
 
@@ -87,13 +67,15 @@ class Env:
     only the innermost witness (``co``) per candidate.
 
     ``stats``, when set, receives ``hit()``/``miss()`` callbacks from
-    :func:`eval_expr`; binds share the same stats object.
+    :func:`eval_expr` (the engines pass their
+    :class:`~repro.search.ptx_search.EnumStats`); binds share the same
+    stats object.
     """
 
     universe: Relation
     bindings: Dict[str, Relation] = field(default_factory=dict)
     cache: Dict[int, Tuple[object, Relation]] = field(default_factory=dict)
-    stats: Optional[EvalStats] = None
+    stats: Optional[object] = None
 
     @classmethod
     def over(cls, atoms: Iterable, **bindings: Relation) -> "Env":

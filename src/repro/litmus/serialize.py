@@ -18,7 +18,7 @@ Round-trip guarantees (enforced by ``tests/test_litmus_serialize.py``):
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import Dict, List
 
 from ..cert.verdict import Certificate
 from ..core.scopes import Scope, SystemShape, ThreadId
@@ -33,7 +33,7 @@ from .conditions import AndC, Condition, MemEq, NotC, OrC, RegEq, TrueC
 # FORMAT_VERSION lives in repro.schema (one place, re-exported here);
 # this module pins the versions it renders so a half-applied schema bump
 # fails at import.
-assert_schema("repro.litmus.serialize", cache=7)
+assert_schema("repro.litmus.serialize", cache=8)
 
 
 def canonical_json(payload) -> str:
@@ -445,6 +445,11 @@ def outcome_to_dict(outcome: Outcome) -> Dict:
     }
 
 
+def _outcomes_to_list(outcomes) -> List[Dict]:
+    """An outcome set in its canonical (serialization-stable) order."""
+    return sorted((outcome_to_dict(o) for o in outcomes), key=canonical_json)
+
+
 def outcome_from_dict(obj: Dict) -> Outcome:
     return Outcome(
         registers=tuple(
@@ -508,9 +513,7 @@ def result_to_dict(result, include_test: bool = True) -> Dict:
         "format": FORMAT_VERSION,
         "model": result.model,
         "observed": result.observed,
-        "outcomes": sorted(
-            (outcome_to_dict(o) for o in result.outcomes), key=canonical_json
-        ),
+        "outcomes": _outcomes_to_list(result.outcomes),
         "elapsed": result.elapsed,
         "solver_stats": (
             solver_stats_to_dict(result.solver_stats)
@@ -565,35 +568,38 @@ def result_from_dict(obj: Dict, test=None):
 # verdict payloads (the byte-comparable form)
 # ----------------------------------------------------------------------
 
-#: timing fields that legitimately differ between two runs of the same
-#: decision (wall clocks, not verdict content)
-_VOLATILE_RESULT_FIELDS = ("elapsed",)
+def verdict_payload(result) -> Dict:
+    """The semantic content of a verdict: what :func:`verdict_digest`
+    hashes and the serving layer's equivalence gate compares.
 
-
-def verdict_payload(result, include_test: bool = False) -> Dict:
-    """The result as a dict with every wall-clock field normalized out.
-
-    Two computations of the same (test, config) task must produce
-    *byte-identical* canonical JSON of this payload — counters, outcome
-    sets, certificates and all — regardless of where they ran (in
-    process, in a worker, behind the verdict service) or how long they
-    took.  This is the object the serving layer's equivalence gate
-    compares; only genuinely nondeterministic fields (elapsed wall time,
-    solver/checker solve times) are zeroed.
+    A verdict is the model, whether the condition is observed, the set of
+    outcomes of the axiom-consistent executions, the run status, and the
+    certificate's polarity/status/proof digest (§5.2).  How the search
+    found them is not part of it: ``enum_stats``, ``solver_stats``,
+    ``elapsed``, ``detail`` and the certificate's
+    ``steps``/``clauses``/``check_time`` stay in :func:`result_to_dict`
+    as telemetry, so two engines or kernels that reach the same verdict
+    by different amounts of work hash identically.
     """
-    payload = result_to_dict(result, include_test=include_test)
-    for name in _VOLATILE_RESULT_FIELDS:
-        payload.pop(name, None)
-    if payload.get("solver_stats") is not None:
-        payload["solver_stats"] = dict(payload["solver_stats"], solve_time=0.0)
-    if payload.get("certificate") is not None:
-        payload["certificate"] = dict(payload["certificate"], check_time=0.0)
-    return payload
+    cert = result.certificate
+    return {
+        "model": result.model,
+        "observed": result.observed,
+        "outcomes": _outcomes_to_list(result.outcomes),
+        "status": result.status,
+        "certificate": (
+            None if cert is None else {
+                "polarity": cert.polarity,
+                "status": cert.status,
+                "digest": cert.digest,
+            }
+        ),
+    }
 
 
 def verdict_digest(result) -> str:
-    """A content address of the timing-normalized verdict payload."""
+    """A content address of the verdict's semantic payload."""
     import hashlib
 
-    text = canonical_json(verdict_payload(result, include_test=False))
+    text = canonical_json(verdict_payload(result))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -54,7 +54,7 @@ from .test import LitmusTest
 
 # worker IPC payloads and cached results share one schema version; a
 # half-bumped tree must fail here, not with mysterious worker errors
-assert_schema("repro.litmus.session", cache=7)
+assert_schema("repro.litmus.session", cache=8)
 
 
 @dataclass

@@ -31,6 +31,10 @@ History of cache-schema bumps:
   every verdict key: kernels agree on outcomes by construction, but a
   kernel-tagged key keeps a representation bug from silently serving one
   kernel's verdict for another's run.
+* v8 — verdict digests hash semantic fields only (model, observed flag,
+  outcome set, status, certificate polarity/status/digest); search and
+  solver counters, timings and details become digest-invisible
+  telemetry.
 
 Every consumer module pins the version it was written against via
 :func:`assert_schema` at import time.  A schema bump that edits this
@@ -42,7 +46,7 @@ under the new salt with the old shape.
 from __future__ import annotations
 
 #: Salts every content-addressed verdict key (cache, LRU tier, wire).
-CACHE_SCHEMA_VERSION = 7
+CACHE_SCHEMA_VERSION = 8
 
 #: The JSON serialization shape of tests/results.
 FORMAT_VERSION = 1

@@ -82,10 +82,15 @@ class EnumStats:
     ``pre_co_pruned`` the (rf, sc) prefixes whose co-independent axioms
     already failed (skipping the whole co loop); ``candidates_checked``
     the fully axiom-checked candidates; ``memo_hits``/``memo_misses`` the
-    closure-evaluation cache behaviour (an :class:`~repro.lang.Env` stats
-    sink); ``axiom_failed`` how often each named axiom rejected a
-    candidate (or, for SC-per-Location, doomed an rf assignment in the
-    pre-check) — the coverage signal the fuzzing farm steers on.
+    closure-evaluation cache behaviour of the interpreted ``set``/``bit``
+    kernels (an :class:`~repro.lang.Env` stats sink; the compiled kernel
+    keeps no memo counters and leaves them at 0); ``axiom_failed`` how
+    often each named axiom rejected a candidate (or, for SC-per-Location,
+    doomed an rf assignment in the pre-check) — the coverage signal the
+    fuzzing farm steers on.
+
+    Every counter is telemetry: none of them is part of the verdict
+    digest (:func:`~repro.litmus.serialize.verdict_payload`).
     """
 
     rf_assignments: int = 0
@@ -112,12 +117,6 @@ class EnumStats:
 
     def miss(self) -> None:
         self.memo_misses += 1
-
-    def add_memo(self, hits: int, misses: int) -> None:
-        """Bulk hit/miss flush from the compiled kernel's probe counters;
-        identical totals to the interpreter's per-probe callbacks."""
-        self.memo_hits += hits
-        self.memo_misses += misses
 
     def __add__(self, other: "EnumStats") -> "EnumStats":
         if not isinstance(other, EnumStats):
@@ -316,9 +315,7 @@ _CO_NAMES: FrozenSet[str] = frozenset(("co",))
 RF_CAUSALITY = Irreflexive(rel("rf") @ spec.DERIVED["cause"])
 
 
-def compiled_ptx_env(
-    program: Program, static: Execution, stats: Optional[EnumStats]
-) -> CompiledEnv:
+def compiled_ptx_env(program: Program, static: Execution) -> CompiledEnv:
     """A :class:`CompiledEnv` over the PTX axioms for one program.
 
     Instances are cached by ``("ptx", program signature)`` and shared
@@ -335,7 +332,7 @@ def compiled_ptx_env(
         warm_names=_CO_NAMES,
         env_factory=lambda: build_env(static, kernel="bit"),
     )
-    return CompiledEnv(model, stats=stats)
+    return CompiledEnv(model)
 
 
 def candidate_executions(
@@ -396,7 +393,7 @@ def candidate_executions(
     )
     stats = stats if stats is not None else EnumStats()
     if kernel == "compiled":
-        static_env = compiled_ptx_env(program, static, stats)
+        static_env = compiled_ptx_env(program, static)
         orders = oriented_orders_incremental
     else:
         static_env = build_env(static, kernel=kernel)
@@ -582,7 +579,7 @@ def candidate_executions(
                 slots = frame.slots
                 bindings = frame.bindings
                 for name, fn in pre_fast:
-                    ok = fn is None or fn(slots, bindings, stats)
+                    ok = fn is None or fn(slots, bindings)
                     pre_results[name] = ok
                     pre_ok = pre_ok and ok
                     if not ok:
@@ -621,7 +618,7 @@ def candidate_executions(
             # genuinely changed.
             if warm_fast is not None:
                 for fn in warm_fast:
-                    fn(frame.slots, frame.bindings, stats)
+                    fn(frame.slots, frame.bindings)
             else:
                 for axiom in co_dependent_axioms:
                     env.warm(axiom, _CO_NAMES)
@@ -669,7 +666,7 @@ def candidate_executions(
                             for i in co_reset:
                                 slots[i] = None
                             for name, fn in co_fns:
-                                if not fn(slots, bindings, stats):
+                                if not fn(slots, bindings):
                                     consistent = False
                                     stats.record_axiom_failure(name)
                                     break

@@ -278,7 +278,7 @@ def _saturation_outcomes(
         },
     )
     if kernel == "compiled":
-        static_env = compiled_ptx_env(program, static, stats)
+        static_env = compiled_ptx_env(program, static)
         orders = oriented_orders_incremental
     else:
         static_env = build_env(static, kernel=kernel)

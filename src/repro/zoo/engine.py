@@ -329,7 +329,7 @@ def zoo_candidates(
                 events, bindings, sets=model.signature.set_names
             ),
         )
-        env0 = CompiledEnv(cmodel, stats=stats)
+        env0 = CompiledEnv(cmodel)
         orders = oriented_orders_incremental
     elif kernel == "bit":
         env0 = bit_env(events, bindings, sets=model.signature.set_names)

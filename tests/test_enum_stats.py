@@ -2,9 +2,10 @@
 
 The enumerative PTX engine reports how much work it did (reads-from
 assignments visited, candidates pruned before the co loop, candidates
-fully checked, evaluator memo behaviour); those counters ride on
-:class:`~repro.litmus.runner.LitmusResult`, survive serialization, and
-aggregate on :class:`~repro.litmus.session.SessionStats`.
+fully checked, the interpreted kernels' memo behaviour); those counters
+ride on :class:`~repro.litmus.runner.LitmusResult`, survive
+serialization, and aggregate on
+:class:`~repro.litmus.session.SessionStats`.
 """
 
 from repro.core import Scope, device_thread, host_thread
@@ -34,12 +35,21 @@ def _mp(t0, t1):
 class TestEnumStats:
     def test_counters_populated_by_search(self, t0, t1):
         stats = EnumStats()
-        allowed_outcomes(_mp(t0, t1), stats=stats)
+        allowed_outcomes(_mp(t0, t1), kernel="bit", stats=stats)
         assert stats.rf_assignments > 0
         assert stats.candidates_checked > 0
         assert stats.memo_misses > 0
         # the memo is the point: co-independent values must be reused
         assert stats.memo_hits > 0
+
+    def test_compiled_kernel_keeps_no_memo_counters(self, t0, t1):
+        """Memo counters are interpreter telemetry; the compiled kernel
+        still reports every search counter."""
+        stats = EnumStats()
+        allowed_outcomes(_mp(t0, t1), kernel="compiled", stats=stats)
+        assert stats.rf_assignments > 0
+        assert stats.candidates_checked > 0
+        assert stats.memo_hits == stats.memo_misses == 0
 
     def test_addition_is_fieldwise(self):
         a = EnumStats(rf_assignments=2, memo_hits=5)

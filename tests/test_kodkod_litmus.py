@@ -108,3 +108,35 @@ def test_instance_enumeration_stats_show_reuse():
     assert count == 16
     assert len(stats) == count  # one snapshot per yielded instance
     assert all(snap.solves == 1 for snap in stats)
+
+
+#: fence.sc.cta across two GPUs is not morally strong, so the enumerative
+#: engine never orders the fences; the SAT instance may, and decoding
+#: ``cause`` over that unrestricted ``sc`` invented a coherence edge
+_SC_NOT_MORALLY_STRONG = {
+    "fence-first": ("fence.sc.cta\n  st.weak [y], 1",
+                    "st.weak [y], 2\n  fence.sc.cta"),
+    "fence-last": ("st.weak [y], 1\n  fence.sc.cta",
+                   "fence.sc.cta\n  st.weak [y], 2"),
+}
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    list(_SC_NOT_MORALLY_STRONG.values()),
+    ids=list(_SC_NOT_MORALLY_STRONG),
+)
+def test_symbolic_outcomes_ignore_non_morally_strong_sc(first, second):
+    from repro.kodkod.litmus import symbolic_outcomes
+    from repro.litmus.parser import parse_litmus
+    from repro.search.ptx_search import allowed_outcomes
+
+    test = parse_litmus(
+        "ptx test SC-decode\n"
+        f"thread d0c0t0\n  {first}\n"
+        f"thread d1c0t0\n  {second}\n"
+        "forbidden: [y]=1\n"
+    )
+    expected = allowed_outcomes(test.program)
+    assert [o.memory for o in expected] == [(("y", frozenset({1, 2})),)]
+    assert symbolic_outcomes(test) == expected

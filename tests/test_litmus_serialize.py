@@ -1,6 +1,7 @@
 """Round-trip tests for the shared serialization format."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,10 @@ from repro.litmus.serialize import (
     canonical_json,
     result_from_dict,
     result_to_dict,
+    verdict_digest,
 )
+from repro.sat import SolverStats
+from repro.search.ptx_search import EnumStats
 from repro.litmus.serialize import test_from_dict as load_test
 from repro.litmus.serialize import test_to_dict as dump_test
 
@@ -142,8 +146,6 @@ class TestResultRoundTrip:
         assert rebuilt == result
 
     def test_timeout_result_keeps_status_and_detail(self):
-        from dataclasses import replace
-
         result = replace(
             run_litmus(SUITE[0]), status="timeout", detail="exceeded 1.0s"
         )
@@ -173,6 +175,64 @@ class TestCanonicalJson:
         second = result_to_dict(run_litmus(SUITE[1]))
         first.pop("elapsed"), second.pop("elapsed")
         assert canonical_json(first) == canonical_json(second)
+
+
+class TestVerdictDigest:
+    """A digest names the verdict's semantics, never how it was found."""
+
+    @staticmethod
+    def _certified(result, **changes):
+        from repro.cert.verdict import Certificate
+
+        fields = dict(polarity="unsat", status="verified", digest="ab12",
+                      steps=40, clauses=90, check_time=0.25, detail=None)
+        fields.update(changes)
+        return replace(result, certificate=Certificate(**fields))
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        return self._certified(run_litmus(SUITE[0]))
+
+    @pytest.mark.parametrize("changes", [
+        {"enum_stats": EnumStats(rf_assignments=999, memo_hits=7)},
+        {"enum_stats": None},
+        {"solver_stats": SolverStats(conflicts=12, solve_time=3.5)},
+        {"elapsed": 123.0},
+        {"detail": "a different note"},
+    ], ids=["enum_stats", "no_enum_stats", "solver_stats", "elapsed",
+            "detail"])
+    def test_telemetry_is_invisible(self, base, changes):
+        assert verdict_digest(replace(base, **changes)) == \
+            verdict_digest(base)
+
+    @pytest.mark.parametrize("changes", [
+        {"check_time": 9.0}, {"steps": 1}, {"clauses": 2},
+        {"detail": "checker note"},
+    ], ids=["check_time", "steps", "clauses", "detail"])
+    def test_certificate_telemetry_is_invisible(self, base, changes):
+        assert verdict_digest(self._certified(base, **changes)) == \
+            verdict_digest(base)
+
+    def test_semantic_fields_are_visible(self, base):
+        digest = verdict_digest(base)
+        dropped = frozenset(sorted(base.outcomes, key=repr)[1:])
+        for changed in (
+            replace(base, outcomes=dropped),
+            replace(base, observed=not base.observed),
+            replace(base, status="timeout"),
+            replace(base, model="sc"),
+            self._certified(base, status="failed"),
+            self._certified(base, polarity="sat"),
+            self._certified(base, digest="cd34"),
+        ):
+            assert verdict_digest(changed) != digest
+
+    @pytest.mark.parametrize("test", SUITE, ids=lambda t: t.name)
+    def test_enumerative_and_rf_check_digests_agree(self, test):
+        """The two PTX engines count different search work but reach
+        the same verdict, so their digests match."""
+        assert verdict_digest(run_litmus(test, engine="rf-check")) == \
+            verdict_digest(run_litmus(test))
 
 
 class TestKodkodInstance:
@@ -261,8 +321,6 @@ class TestLitmusText:
         ) == "bar.sync 0"
 
     def test_true_condition_has_no_text_form(self):
-        from dataclasses import replace
-
         from repro.litmus.conditions import TrueC
         from repro.litmus.serialize import test_to_litmus
 
