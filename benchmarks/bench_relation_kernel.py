@@ -1,34 +1,31 @@
-"""Relation-kernel benchmark: set vs bit vs compiled.
+"""Relation-kernel benchmark: set vs compiled.
 
-Measures the three relation kernels behind the cat evaluator
-(README "Three relation kernels"):
+Measures the two relation kernels behind the enumerative searches
+(README "Two relation kernels"):
 
 * **micro** — each core operator (union, inter, join, transpose,
   transitive closure) on random suite-shaped relations, per universe
-  size; reported as a set/bit time ratio per operator (the compiled
-  kernel has no standalone operator surface — it fuses operators into
-  per-axiom functions, so it only appears in the end-to-end sections);
+  size; reported as a ``Relation``/``BitRel`` time ratio per operator.
+  ``BitRel`` is the value type the compiled kernel's generated code
+  computes on; the kernel itself has no standalone operator surface —
+  it fuses operators into per-axiom functions — so it only appears in
+  the end-to-end sections;
 * **end-to-end** — ``allowed_outcomes`` on standard-suite litmus tests
-  under ``kernel="set"``/``"bit"``/``"compiled"`` (identical outcome
-  sets are asserted first, so a kernel bug cannot masquerade as a
-  speedup);
+  under ``kernel="set"``/``"compiled"`` (identical outcome sets are
+  asserted first, so a kernel bug cannot masquerade as a speedup);
 * **heavy** — the enumeration-heavy subset (every test with >= 8
-  candidate executions), timed with interleaved A/B/C rounds in a
-  single process.  Alternating kernels within each round cancels
-  machine drift, which separate-invocation timing does not; the
-  compiled-vs-bit ratio on this subset is the committed gate.
+  candidate executions), timed with interleaved A/B rounds in a single
+  process.  Alternating kernels within each round cancels machine
+  drift, which separate-invocation timing does not; the compiled-vs-set
+  ratio on this subset is the committed gate.
 
 Emits ``BENCH_relation_kernel.json`` next to this file.  ``--check
 BASELINE.json`` compares *speedup ratios* (machine-independent, unlike
-absolute times) and exits non-zero when either
-
-* the bit-vs-set end-to-end speedup has regressed to below a third of
-  the committed baseline's, or
-* the compiled-vs-bit speedup on the heavy subset falls below the
-  committed ``gates.compiled_vs_bit_heavy`` floor (2.0x).  The floor is
-  applied to the subset *aggregate*, not per test: per-test ratios
-  sit near the floor and would flap on noise, while the aggregate has
-  ~7% headroom under interleaved measurement.
+absolute times) and exits non-zero when the compiled-vs-set speedup on
+the heavy subset falls below the baseline's ``gates.compiled_vs_set_heavy``
+floor: a third of the speedup measured when the baseline was committed.
+The floor is applied to the subset *aggregate*, not per test, where
+ratios would flap on noise.
 
 Usage::
 
@@ -55,10 +52,10 @@ from repro.litmus.runner import partition_opts  # noqa: E402
 from repro.relation import BitRel, Relation, Universe  # noqa: E402
 from repro.search.ptx_search import allowed_outcomes  # noqa: E402
 
-KERNELS = ("set", "bit", "compiled")
+KERNELS = ("set", "compiled")
 
 #: Geometry-skewed test subset for --quick: the coherence pair exercises
-#: the prune path, MP/WRC/ISA2 the memoised co loop, IRIW the worst case.
+#: the prune path, MP/WRC/ISA2 the co loop, IRIW the worst case.
 QUICK_TESTS = (
     "CoRR", "CoRW", "MP+rel_acq.gpu", "WRC+rel_acq",
     "ISA2+rel_acq", "IRIW+rel_acq",
@@ -66,7 +63,7 @@ QUICK_TESTS = (
 
 #: The enumeration-heavy suite tests (candidates_checked >= 8): the
 #: population where per-candidate axiom evaluation dominates setup, so
-#: kernel quality is actually visible.  The compiled-vs-bit gate is
+#: kernel quality is actually visible.  The compiled-vs-set gate is
 #: measured on this subset.
 HEAVY_TESTS = (
     "IRIW+fence.sc",
@@ -79,10 +76,9 @@ HEAVY_TESTS = (
     "ISA2+rel_acq",
 )
 
-#: Committed ratio floors enforced by --check.  ``compiled_vs_bit_heavy``
-#: is the PR acceptance gate: the compiled kernel must hold >= 2x over
-#: bit on the heavy-subset aggregate.
-GATES = {"compiled_vs_bit_heavy": 2.0}
+#: The committed gate's floor is the measured heavy-subset speedup
+#: divided by this margin.
+GATE_MARGIN = 3.0
 
 #: Historical reference, measured once (best-of-5 per test, warm
 #: process) against the pre-kernel engine at commit 3ea04ae: the full
@@ -123,7 +119,7 @@ def _time(fn, repeat: int) -> float:
 
 
 def measure_micro(quick: bool) -> dict:
-    """Per-operator set/bit timing ratios on random relations."""
+    """Per-operator Relation/BitRel timing ratios on random relations."""
     rng = random.Random(20260806)
     sizes = (16, 48) if quick else (16, 48, 96)
     repeat = 3 if quick else 5
@@ -163,16 +159,14 @@ def _runner(test, kernel: str, opts: dict):
 
 
 def _assert_kernels_agree(test, opts: dict) -> None:
-    """Warm every kernel (compilation happens here, outside the timed
+    """Warm both kernels (compilation happens here, outside the timed
     region) and refuse to time an unsound one."""
     outcomes = {k: _runner(test, k, opts)() for k in KERNELS}
-    for kernel in KERNELS[1:]:
-        if outcomes[kernel] != outcomes["set"]:
-            raise AssertionError(
-                f"kernel outcome mismatch on {test.name} "
-                f"(set vs {kernel}): the benchmark refuses to time an "
-                "unsound kernel"
-            )
+    if outcomes["compiled"] != outcomes["set"]:
+        raise AssertionError(
+            f"kernel outcome mismatch on {test.name} (set vs compiled): "
+            "the benchmark refuses to time an unsound kernel"
+        )
 
 
 def _interleaved(runners: dict, rounds: int, inner: int) -> dict:
@@ -190,150 +184,84 @@ def _interleaved(runners: dict, rounds: int, inner: int) -> dict:
     return best
 
 
-def measure_end_to_end(quick: bool) -> dict:
-    """Full allowed_outcomes timing per kernel, per suite test."""
-    tests = [t for t in SUITE if not quick or t.name in QUICK_TESTS]
-    rounds = 2 if quick else 4
+def _timed(timings: dict) -> dict:
+    """One row of the report: both kernels' seconds and their ratio."""
+    return {
+        "set_s": timings["set"],
+        "compiled_s": timings["compiled"],
+        "speedup": (
+            timings["set"] / timings["compiled"]
+            if timings["compiled"] else float("inf")
+        ),
+    }
+
+
+def _measure_tests(tests, rounds: int, inner: int) -> dict:
+    """Interleaved set/compiled timing per test, plus the aggregate."""
     per_test: dict = {}
     totals = {kernel: 0.0 for kernel in KERNELS}
     for test in tests:
         opts, _ = partition_opts("ptx", dict(test.search_opts))
         _assert_kernels_agree(test, opts)
         timings = _interleaved(
-            {k: _runner(test, k, opts) for k in KERNELS}, rounds, inner=1
+            {k: _runner(test, k, opts) for k in KERNELS}, rounds, inner
         )
         for kernel in KERNELS:
             totals[kernel] += timings[kernel]
-        per_test[test.name] = {
-            "set_s": timings["set"],
-            "bit_s": timings["bit"],
-            "compiled_s": timings["compiled"],
-            "speedup_bit_vs_set": (
-                timings["set"] / timings["bit"]
-                if timings["bit"] else float("inf")
-            ),
-            "speedup_compiled_vs_bit": (
-                timings["bit"] / timings["compiled"]
-                if timings["compiled"] else float("inf")
-            ),
-        }
-    return {
-        "tests": per_test,
-        "total": {
-            "set_s": totals["set"],
-            "bit_s": totals["bit"],
-            "compiled_s": totals["compiled"],
-            "speedup_bit_vs_set": (
-                totals["set"] / totals["bit"]
-                if totals["bit"] else float("inf")
-            ),
-            "speedup_compiled_vs_bit": (
-                totals["bit"] / totals["compiled"]
-                if totals["compiled"] else float("inf")
-            ),
-        },
-    }
+        per_test[test.name] = _timed(timings)
+    return {"tests": per_test, "total": _timed(totals)}
+
+
+def measure_end_to_end(quick: bool) -> dict:
+    """Full allowed_outcomes timing per kernel, per suite test."""
+    tests = [t for t in SUITE if not quick or t.name in QUICK_TESTS]
+    return _measure_tests(tests, rounds=2 if quick else 4, inner=1)
 
 
 def measure_heavy(quick: bool) -> dict:
-    """Compiled-vs-bit on the enumeration-heavy subset, interleaved.
+    """Compiled-vs-set on the enumeration-heavy subset, interleaved.
 
     This is the gate measurement: more rounds and an inner-repeat count
     large enough that each sample is tens of milliseconds, making the
     min-of-rounds estimate stable to a few percent."""
     by_name = {t.name: t for t in SUITE}
     rounds, inner = (4, 2) if quick else (10, 4)
-    per_test: dict = {}
-    totals = {"bit": 0.0, "compiled": 0.0}
-    for name in HEAVY_TESTS:
-        test = by_name[name]
-        opts, _ = partition_opts("ptx", dict(test.search_opts))
-        _assert_kernels_agree(test, opts)
-        timings = _interleaved(
-            {k: _runner(test, k, opts) for k in ("bit", "compiled")},
-            rounds,
-            inner,
-        )
-        totals["bit"] += timings["bit"]
-        totals["compiled"] += timings["compiled"]
-        per_test[name] = {
-            "bit_s": timings["bit"],
-            "compiled_s": timings["compiled"],
-            "speedup": (
-                timings["bit"] / timings["compiled"]
-                if timings["compiled"] else float("inf")
-            ),
-        }
-    return {
-        "tests": per_test,
-        "total": {
-            "bit_s": totals["bit"],
-            "compiled_s": totals["compiled"],
-            "speedup": (
-                totals["bit"] / totals["compiled"]
-                if totals["compiled"] else float("inf")
-            ),
-        },
-    }
+    return _measure_tests(
+        [by_name[name] for name in HEAVY_TESTS], rounds, inner
+    )
 
 
 def measure(quick: bool) -> dict:
+    heavy = measure_heavy(quick)
     return {
-        "schema": 2,
+        "schema": 3,
         "quick": quick,
         "micro": measure_micro(quick),
         "end_to_end": measure_end_to_end(quick),
-        "heavy": measure_heavy(quick),
-        "gates": dict(GATES),
+        "heavy": heavy,
+        "gates": {
+            "compiled_vs_set_heavy": heavy["total"]["speedup"] / GATE_MARGIN
+        },
         "reference": REFERENCE,
     }
 
 
 def check_regression(current: dict, baseline: dict) -> int:
-    """Ratio-based regression gates.
-
-    * bit vs set: fail when the measured end-to-end speedup drops below
-      a third of the committed baseline's (absolute times are
-      machine-dependent; ratios survive hardware changes).
-    * compiled vs bit: fail when the heavy-subset aggregate falls below
-      the committed ``gates.compiled_vs_bit_heavy`` floor.
-    """
-    failures = 0
-
-    base_total = baseline["end_to_end"]["total"]
-    base_bit = base_total.get(
-        "speedup_bit_vs_set", base_total.get("speedup")
-    )
-    now_bit = current["end_to_end"]["total"]["speedup_bit_vs_set"]
-    floor_bit = base_bit / 3.0
+    """The ratio gate: fail when the compiled-vs-set heavy-subset
+    speedup falls below the committed ``gates.compiled_vs_set_heavy``
+    floor (absolute times are machine-dependent; ratios survive
+    hardware changes)."""
+    floor = baseline["gates"]["compiled_vs_set_heavy"]
+    base = baseline["heavy"]["total"]["speedup"]
+    now = current["heavy"]["total"]["speedup"]
     print(
-        f"bit-vs-set end-to-end speedup: baseline {base_bit:.2f}x, "
-        f"measured {now_bit:.2f}x, floor {floor_bit:.2f}x"
+        f"compiled-vs-set heavy-subset speedup: baseline {base:.2f}x, "
+        f"measured {now:.2f}x, floor {floor:.2f}x"
     )
-    if now_bit < floor_bit:
-        print("FAIL: bit kernel speedup regressed past the 3x margin")
-        failures += 1
-
-    gate = baseline.get("gates", {}).get(
-        "compiled_vs_bit_heavy", GATES["compiled_vs_bit_heavy"]
-    )
-    now_compiled = current["heavy"]["total"]["speedup"]
-    base_compiled = baseline.get("heavy", {}).get("total", {}).get("speedup")
-    base_txt = f"{base_compiled:.2f}x" if base_compiled else "n/a"
-    print(
-        f"compiled-vs-bit heavy-subset speedup: baseline {base_txt}, "
-        f"measured {now_compiled:.2f}x, floor {gate:.2f}x"
-    )
-    if now_compiled < gate:
-        print(
-            "FAIL: compiled kernel fell below the committed "
-            f"{gate:.1f}x floor on the enumeration-heavy subset"
-        )
-        failures += 1
-
-    if failures:
+    if now < floor:
+        print("FAIL: compiled kernel speedup regressed past the 3x margin")
         return 1
-    print("ok: kernel speedups within the regression margins")
+    print("ok: kernel speedup within the regression margin")
     return 0
 
 
@@ -350,9 +278,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", type=Path, metavar="BASELINE",
-        help="compare speedup ratios against a committed baseline JSON; "
-        "exit 1 on a bit-kernel regression past the 3x margin or a "
-        "compiled-kernel drop below the committed 2x heavy-subset floor",
+        help="compare the heavy-subset speedup against a committed "
+        "baseline JSON; exit 1 when it falls below the baseline's floor "
+        "(a third of its measured compiled-vs-set speedup)",
     )
     args = parser.parse_args(argv)
 
@@ -365,13 +293,11 @@ def main(argv=None) -> int:
     total = report["end_to_end"]["total"]
     heavy = report["heavy"]["total"]
     print(
-        f"end-to-end: set {total['set_s']:.3f}s, bit {total['bit_s']:.3f}s, "
-        f"compiled {total['compiled_s']:.3f}s "
-        f"(bit/set {total['speedup_bit_vs_set']:.2f}x, "
-        f"compiled/bit {total['speedup_compiled_vs_bit']:.2f}x)"
+        f"end-to-end: set {total['set_s']:.3f}s, "
+        f"compiled {total['compiled_s']:.3f}s ({total['speedup']:.2f}x)"
     )
     print(
-        f"heavy subset: bit {heavy['bit_s'] * 1e3:.1f}ms, "
+        f"heavy subset: set {heavy['set_s'] * 1e3:.1f}ms, "
         f"compiled {heavy['compiled_s'] * 1e3:.1f}ms "
         f"({heavy['speedup']:.2f}x); report -> {args.out}"
     )

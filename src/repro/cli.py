@@ -765,14 +765,14 @@ def _client_suite(client, args: argparse.Namespace) -> int:
 
 def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
     """The relation-kernel knob (one help string, one choices source)."""
-    from .registry import kernel_names
+    from .registry import DEFAULT_KERNEL, kernel_names
 
     parser.add_argument(
-        "--kernel", default="bit", choices=kernel_names(),
-        help="relation representation for the enumerative searches: "
-             "hashed tuple sets ('set'), dense bitsets ('bit', default), "
-             "or per-test compiled axiom checkers ('compiled'); verdicts "
-             "and outcome sets are identical across kernels",
+        "--kernel", default=DEFAULT_KERNEL, choices=kernel_names(),
+        help="relation kernel for the enumerative searches: per-test "
+             "compiled axiom checkers ('compiled', default) or the "
+             "hashed tuple-set reference ('set'); verdicts and outcome "
+             "sets are identical across kernels",
     )
 
 

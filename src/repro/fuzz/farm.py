@@ -39,6 +39,7 @@ from ..litmus.config import RunConfig
 from ..litmus.serialize import canonical_json, test_to_dict, test_to_litmus
 from ..litmus.session import Session
 from ..litmus.test import LitmusTest
+from ..registry import DEFAULT_KERNEL
 from .coverage import (
     CoverageMap,
     bias_from_coverage,
@@ -88,7 +89,7 @@ class FarmConfig:
     checkpoint: Optional[str] = None
     #: relation kernel for every engine run (verdict-neutral, so it is
     #: deliberately absent from the resume fingerprint)
-    kernel: str = "bit"
+    kernel: str = DEFAULT_KERNEL
 
     def fingerprint(self) -> Dict[str, object]:
         """The resume-compatibility echo stored in checkpoints."""

@@ -38,6 +38,7 @@ from ..litmus.parser import parse_litmus
 from ..litmus.serialize import canonical_json, test_to_dict, test_to_litmus
 from ..litmus.session import Session
 from ..litmus.test import LitmusTest
+from ..registry import DEFAULT_KERNEL
 from .gen import FuzzCase, generate_case
 from .oracle import CaseVerdict, Check, Discrepancy, Oracle, default_checks
 from .shrink import EngineCrash, ShrinkResult, shrink
@@ -250,7 +251,7 @@ def run_fuzz(
     shrink_attempts: int = 2000,
     max_found: int = 10,
     progress: Optional[Callable[[FuzzStats], None]] = None,
-    kernel: str = "bit",
+    kernel: str = DEFAULT_KERNEL,
 ) -> FuzzReport:
     """Fuzz the engines; see the module docstring for the contract.
 
@@ -333,7 +334,7 @@ def recheck_artifact(
     checks: Optional[Sequence[Check]] = None,
     timeout: Optional[float] = 20.0,
     shrink_attempts: int = 2000,
-    kernel: str = "bit",
+    kernel: str = DEFAULT_KERNEL,
 ) -> Tuple[CaseVerdict, Optional[ShrinkResult]]:
     """Replay a CI artifact: parse the litmus file, re-run the oracle,
     and re-shrink if the discrepancy still reproduces.

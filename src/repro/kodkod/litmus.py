@@ -383,10 +383,10 @@ def symbolic_outcomes(
             "syncbarrier": elab.syncbarrier,
         },
     )
-    # decode on the bitset kernel: one cause evaluation per instance is
+    # decode over bitsets: one cause evaluation per instance is
     # the oracle path's hot spot, and the retained memo carries the
     # rf/sc-independent subexpressions across instances
-    env = build_env(static, kernel="bit")
+    env = build_env(static, bitset=True)
     ms = env.lookup("morally_strong")
     init_edges = Relation(
         (init, w)

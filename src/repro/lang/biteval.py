@@ -1,16 +1,19 @@
-"""Bitset-kernel evaluation environments.
+"""Bitset evaluation environments, and the one representation switch.
 
 :class:`BitEnv` is an :class:`~repro.lang.eval.Env` whose values live in
-the dense bitset kernel (:mod:`repro.relation.bitrel`) instead of
-frozenset-backed :class:`~repro.relation.Relation` objects.  The
-interpreter (:func:`~repro.lang.eval.eval_expr` /
-:func:`~repro.lang.eval.eval_formula`) is unchanged — only the value
-factory methods differ — so both kernels evaluate the very same spec ASTs
-and, by the property tests, agree on every operator.
+dense bitsets (:mod:`repro.relation.bitrel`) instead of frozenset-backed
+:class:`~repro.relation.Relation` objects.  The interpreter
+(:func:`~repro.lang.eval.eval_expr` / :func:`~repro.lang.eval.eval_formula`)
+is unchanged — only the value factory methods differ — so both
+representations evaluate the very same spec ASTs and, by the property
+tests, agree on every operator.
 
-Use :func:`bit_env` to build one from the ``Relation`` bindings a model's
-``build_env`` already computes; the converters are lossless, so verdicts
-are identical to the set kernel's.
+No search interprets candidates over a :class:`BitEnv`: the compiled
+kernel (:mod:`repro.lang.compile`) folds its constants in one, and the
+symbolic-enum decoder and the reference checkers evaluate in one.
+:func:`relation_env` is the one place a model or engine picks between the
+two representations; the converters are lossless, so verdicts are
+identical either way.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .eval import Env
 
 @dataclass
 class BitEnv(Env):
-    """An evaluation environment over the dense bitset kernel.
+    """An evaluation environment over dense bitsets.
 
     ``universe`` holds the full :class:`BitSet` (what the ``univ`` AST
     node evaluates to); ``space`` is the shared frozen atom universe all
@@ -32,15 +35,6 @@ class BitEnv(Env):
     """
 
     space: Optional[Universe] = None
-
-    @classmethod
-    def over_atoms(cls, atoms: Iterable, **bindings) -> "BitEnv":
-        space = Universe(atoms)
-        return cls(
-            universe=BitSet(space, space.full),
-            bindings=dict(bindings),
-            space=space,
-        )
 
     def _derive(self, bindings, cache) -> "BitEnv":
         return BitEnv(
@@ -77,19 +71,23 @@ class BitEnv(Env):
         return BitRel.from_relation(self.space, rel)
 
 
-def bit_env(
+def relation_env(
     atoms: Iterable,
     bindings: Dict[str, Relation],
     sets: Iterable[str] = (),
-) -> BitEnv:
-    """A :class:`BitEnv` over ``atoms`` from plain ``Relation`` bindings.
+    bitset: bool = False,
+) -> Env:
+    """An evaluation environment over ``atoms`` from ``Relation`` bindings.
 
-    ``sets`` names the bindings to be represented as :class:`BitSet`
-    (arity 1); everything else becomes a :class:`BitRel`.  This is the
-    bridge the model ``build_env`` functions use: they compute their
-    bindings as before and hand them over for conversion.
+    ``bitset=False`` keeps the frozenset values of the ``set`` reference
+    kernel.  ``bitset=True`` converts them to a :class:`BitEnv`: ``sets``
+    names the bindings represented as :class:`BitSet` (arity 1), and
+    everything else becomes a :class:`BitRel`.
     """
-    env = BitEnv.over_atoms(atoms)
+    if not bitset:
+        return Env(universe=Relation.set_of(atoms), bindings=dict(bindings))
+    space = Universe(atoms)
+    env = BitEnv(universe=BitSet(space, space.full), bindings={}, space=space)
     set_names = frozenset(sets)
     for name, rel in bindings.items():
         arity = 1 if name in set_names or rel.arity == 1 else 2

@@ -1,10 +1,10 @@
 """Compiled axiom kernels: per-(model, test) specialized evaluators.
 
-The bitset kernel (:mod:`repro.lang.biteval`) made each relational
-operation word-parallel, but every axiom check still walks the cat AST
-through :func:`~repro.lang.eval.eval_expr`'s type dispatch, memo-dict
-probes, and per-``bind`` cache filtering.  This module eliminates the
-interpreter from the enumeration hot path: it compiles each model's
+Bitset relations (:mod:`repro.relation.bitrel`) make each relational
+operation word-parallel, but interpreting an axiom still walks the cat
+AST through :func:`~repro.lang.eval.eval_expr`'s type dispatch,
+memo-dict probes, and per-``bind`` cache filtering.  This module keeps
+the interpreter off the enumeration hot path: it compiles each model's
 axiom ASTs once into plain Python functions specialized to one concrete
 test, then reuses the compiled instance across every candidate, every
 suite member with the same program, and every farm round.
@@ -27,10 +27,10 @@ Three layers:
 
 **Identical outcomes are the contract.**  The engines count their
 search work (rf assignments, prunes, candidates, axiom failures) outside
-the kernel, so those counters agree across all three kernels.  The
-generated code keeps no memo counters: ``EnumStats.memo_hits`` and
-``memo_misses`` are telemetry from the interpreted kernels only and stay
-zero here.  No counter is part of the verdict digest.
+the kernel, so those counters agree with the ``set`` reference kernel.
+The generated code keeps no memo counters: ``EnumStats.memo_hits`` and
+``memo_misses`` are telemetry from the interpreted ``set`` kernel only
+and stay zero here.  No counter is part of the verdict digest.
 """
 
 from __future__ import annotations

@@ -63,7 +63,8 @@ def cache_key(
     engine: str,
     opts: Dict[str, object],
     certify: bool = False,
-    kernel: str = "bit",
+    *,
+    kernel: str,
 ) -> str:
     """The content address of one (test, model, engine, opts, certify,
     kernel) task.

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..registry import (
+    DEFAULT_KERNEL,
     engine_names,
     resolve_engine,
     resolve_kernel,
@@ -71,8 +72,8 @@ class RunConfig:
       result.  A verdict whose certificate fails the check is downgraded
       to ERROR; undecidable-by-SAT tests fall back to the enumerative
       engine with a ``skipped`` certificate;
-    * ``kernel`` picks the relation representation the enumerative
-      searches run on (``set``/``bit``/``compiled``; see
+    * ``kernel`` picks the relation kernel the enumerative searches
+      run on (``compiled`` by default, or the ``set`` reference; see
       :data:`repro.registry.KERNELS`).  Outcomes are kernel-independent;
       models without a kernel surface ignore the knob.
 
@@ -89,7 +90,7 @@ class RunConfig:
     cache_dir: Optional[str] = None
     max_attempts: int = 3
     certify: bool = False
-    kernel: str = "bit"
+    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self):
         if isinstance(self.search_opts, Mapping):

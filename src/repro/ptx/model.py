@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.execution import Execution, same_location
 from ..core.scopes import mutually_inclusive
-from ..lang import Env, bit_env, eval_expr, eval_formula
+from ..lang import Env, eval_expr, eval_formula, relation_env
 from ..relation import Relation
 from . import spec
 from .events import Event, Sem, is_init
@@ -50,7 +50,7 @@ def moral_strength(events: Tuple[Event, ...], po: Relation) -> Relation:
     return Relation(pairs)
 
 
-def build_env(execution: Execution, kernel: str = "set") -> Env:
+def build_env(execution: Execution, bitset: bool = False) -> Env:
     """Build the evaluation environment for the PTX spec.
 
     ``execution.relations`` must already provide the witness relations
@@ -58,10 +58,9 @@ def build_env(execution: Execution, kernel: str = "set") -> Env:
     everything else (event-class sets, ``sloc``, ``po_loc``,
     ``morally_strong``) is derived here from the events themselves.
 
-    ``kernel`` selects the relation representation: ``"set"`` (the
-    frozenset-backed :class:`Relation`, the default) or ``"bit"`` (the
-    dense bitset kernel the enumerative engine uses).  Verdicts are
-    identical either way.
+    ``bitset`` selects the dense bitset representation (what the
+    compiled kernel folds its constants in) over the frozenset-backed
+    :class:`Relation` default.  Verdicts are identical either way.
     """
     events = execution.events
     po = execution.relation("po")
@@ -102,11 +101,7 @@ def build_env(execution: Execution, kernel: str = "set") -> Env:
             e for e in events if e.is_fence and e.sem is Sem.SC
         ),
     }
-    if kernel == "bit":
-        return bit_env(events, bindings, sets=spec.BASE_SETS)
-    if kernel != "set":
-        raise ValueError(f"unknown relation kernel {kernel!r}")
-    return Env(universe=Relation.set_of(events), bindings=bindings)
+    return relation_env(events, bindings, sets=spec.BASE_SETS, bitset=bitset)
 
 
 @dataclass(frozen=True)

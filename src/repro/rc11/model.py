@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.execution import Execution, same_location
 from ..core.scopes import mutually_inclusive
-from ..lang import Env, bit_env, eval_expr, eval_formula
+from ..lang import Env, eval_expr, eval_formula, relation_env
 from ..relation import Relation
 from . import spec
 from .events import CEvent, CKind, MemOrder, c_is_init
@@ -35,13 +35,13 @@ def inclusion(events: Tuple[CEvent, ...]) -> Relation:
     return Relation(pairs)
 
 
-def build_env(execution: Execution, kernel: str = "set") -> Env:
+def build_env(execution: Execution, bitset: bool = False) -> Env:
     """Environment for the scoped RC11 spec.
 
     ``execution.relations`` must provide ``sb``, ``rf`` and ``mo``; the
     event-class sets, ``sloc``, ``incl`` and the single-event ``rmw``
-    identity are derived here.  ``kernel`` selects the relation
-    representation (``"set"`` or ``"bit"``); verdicts are identical.
+    identity are derived here.  ``bitset`` selects the dense bitset
+    representation over frozensets; verdicts are identical.
     """
     events = execution.events
     bindings: Dict[str, Relation] = {
@@ -71,11 +71,7 @@ def build_env(execution: Execution, kernel: str = "set") -> Env:
             e for e in events if e.is_fence and e.mo is MemOrder.SC
         ),
     }
-    if kernel == "bit":
-        return bit_env(events, bindings, sets=spec.BASE_SETS)
-    if kernel != "set":
-        raise ValueError(f"unknown relation kernel {kernel!r}")
-    return Env(universe=Relation.set_of(events), bindings=bindings)
+    return relation_env(events, bindings, sets=spec.BASE_SETS, bitset=bitset)
 
 
 @dataclass(frozen=True)
@@ -106,9 +102,9 @@ def check_execution(
     ``with_thin_air`` re-enables the RC11 No-Thin-Air axiom the paper drops
     (§4.1), for ablation experiments.
     """
-    # the self-built environment runs on the bitset kernel: this is the
-    # enumeration hot path (verdicts are kernel-independent)
-    env = env or build_env(execution, kernel="bit")
+    # the self-built environment evaluates over bitsets (verdicts are
+    # representation-independent)
+    env = env or build_env(execution, bitset=True)
     axioms = spec.AXIOMS_WITH_THIN_AIR if with_thin_air else spec.AXIOMS
     results = {name: eval_formula(axiom, env) for name, axiom in axioms.items()}
     return Rc11Report(axioms=results, execution=execution)
@@ -121,7 +117,7 @@ def data_races(execution: Execution, env: Optional[Env] = None) -> Relation:
     different threads, unordered by happens-before, where additionally at
     least one side is non-atomic or the pair is not scope-inclusive.
     """
-    env = env or build_env(execution, kernel="bit")
+    env = env or build_env(execution, bitset=True)
     hb = eval_expr(spec.DERIVED["hb"], env)
     incl = env.lookup("incl")
     pairs: List[Tuple[CEvent, CEvent]] = []

@@ -59,17 +59,20 @@ class UnknownNameError(KeyError, ValueError):
 # relation kernels
 # ----------------------------------------------------------------------
 
-#: Relation-representation kernels the enumerative searches understand.
-#: Verdicts and outcome sets are kernel-independent by construction (the
-#: agreement tests pin this); the choice only moves the time/space
-#: trade-off.  Models whose ``ModelSpec.kernels`` is empty (operational
-#: machines, the CPU total searches, the legacy PTX variant) have no
-#: kernel surface and silently ignore the configured kernel.
+#: Relation kernels the enumerative searches understand.  Verdicts and
+#: outcome sets are kernel-independent by construction (the agreement
+#: tests pin this); the choice only moves the time/space trade-off.
+#: Models whose ``ModelSpec.enumerative`` is False (operational machines,
+#: the legacy PTX variant) have no kernel surface and silently ignore the
+#: configured kernel.
 KERNELS: Dict[str, str] = {
     "set": "hashed tuple-set relations (reference semantics)",
-    "bit": "dense bitset relations (interpreted hot path, default)",
     "compiled": "per-test specialized axiom checkers (repro.lang.compile)",
 }
+
+#: The kernel every configuration, CLI flag and engine signature
+#: defaults to; ``set`` is its reference oracle.
+DEFAULT_KERNEL = "compiled"
 
 
 def kernel_names() -> Tuple[str, ...]:
@@ -98,24 +101,6 @@ def _ptx_legacy_outcomes(program, **opts):
     from .ptx.legacy import legacy_allowed_outcomes
 
     return legacy_allowed_outcomes(program, **opts)
-
-
-def _tso_outcomes(program, **opts):
-    from .search.total_search import allowed_outcomes_total
-    from .tso import check_execution as tso_check
-
-    opts.pop("skip_axioms", None)
-    opts.pop("stats", None)
-    return allowed_outcomes_total(program, tso_check, **opts)
-
-
-def _sc_outcomes(program, **opts):
-    from .scmodel import check_execution as sc_check
-    from .search.total_search import allowed_outcomes_total
-
-    opts.pop("skip_axioms", None)
-    opts.pop("stats", None)
-    return allowed_outcomes_total(program, sc_check, **opts)
 
 
 def _sc_op_outcomes(program, **opts):
@@ -153,11 +138,10 @@ class ModelSpec:
     #: PTX-only options tolerated and dropped (a test tagged with e.g.
     #: ``skip_axioms`` must still be runnable under tso/sc)
     ignored_opts: FrozenSet[str] = frozenset()
-    #: ``run`` accepts a ``stats=EnumStats()`` observability sink
-    enum_stats: bool = False
-    #: relation kernels ``run`` accepts via ``kernel=``; empty means the
-    #: model has no kernel surface and the configured kernel is ignored
-    kernels: FrozenSet[str] = frozenset()
+    #: ``run`` is a candidate enumeration: it accepts ``kernel=`` (any
+    #: of :data:`KERNELS`) and a ``stats=EnumStats()`` observability
+    #: sink; False means the configured kernel is ignored
+    enumerative: bool = False
     #: the model has a symbolic (SAT) encoding — certify-eligible
     symbolic: bool = False
     #: the :mod:`repro.zoo` declaration backing this spec, if any
@@ -168,11 +152,7 @@ class ModelSpec:
 #: zoo models with a dedicated engine: the declaration still defines the
 #: option surface and claims, but dispatch goes to the optimized native
 #: search (prunes, saturation) rather than the generic enumeration
-_NATIVE_RUNS: Dict[str, Callable] = {
-    "ptx": _ptx_outcomes,
-    "tso": _tso_outcomes,
-    "sc": _sc_outcomes,
-}
+_NATIVE_RUNS: Dict[str, Callable] = {"ptx": _ptx_outcomes}
 
 
 def _zoo_specs() -> Tuple[ModelSpec, ...]:
@@ -189,15 +169,7 @@ def _zoo_specs() -> Tuple[ModelSpec, ...]:
                 run,
                 opts=model.opts,
                 ignored_opts=model.ignored_opts,
-                # every enumerative path except the CPU total searches
-                # threads EnumStats through (the zoo engine always does);
-                # the same paths expose the relation-kernel knob
-                enum_stats=model.name not in ("tso", "sc"),
-                kernels=(
-                    frozenset()
-                    if model.name in ("tso", "sc")
-                    else frozenset(KERNELS)
-                ),
+                enumerative=True,
                 symbolic=model.name == "ptx",
                 zoo=model.name,
                 description=model.description,
@@ -286,7 +258,7 @@ def _check_ptx_only(spec: "EngineSpec", model: str) -> None:
 
 def _kernel_opts(config, opts):
     """Inject the configured relation kernel for models that take one."""
-    if resolve_model(config.model).kernels:
+    if resolve_model(config.model).enumerative:
         return dict(opts, kernel=config.kernel)
     return opts
 
@@ -298,7 +270,7 @@ def _run_enumerative(test, config, opts):
     spec = resolve_model(config.model)
     opts = _kernel_opts(config, opts)
     enum_stats = None
-    if spec.enum_stats:
+    if spec.enumerative:
         enum_stats = EnumStats()
         opts = dict(opts, stats=enum_stats)
     outcomes = spec.run(test.program, **opts)

@@ -6,24 +6,21 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.execution import Execution
-from ..lang import Env, bit_env, eval_formula
+from ..lang import Env, eval_formula, relation_env
 from ..relation import Relation
 from . import spec
 
 
-def build_env(execution: Execution, kernel: str = "set") -> Env:
-    """Environment for the SC spec: just ``po``/``rf``/``co`` over memory events."""
+def build_env(execution: Execution, bitset: bool = False) -> Env:
+    """Environment for the SC spec: just ``po``/``rf``/``co`` over memory
+    events (``bitset`` selects the dense bitset representation)."""
     bindings: Dict[str, Relation] = {
         "po": execution.relation("po"),
         "rf": execution.relation("rf"),
         "co": execution.relation("co"),
         "rmw": execution.relation("rmw"),
     }
-    if kernel == "bit":
-        return bit_env(execution.events, bindings)
-    if kernel != "set":
-        raise ValueError(f"unknown relation kernel {kernel!r}")
-    return Env(universe=Relation.set_of(execution.events), bindings=bindings)
+    return relation_env(execution.events, bindings, bitset=bitset)
 
 
 @dataclass(frozen=True)
@@ -41,9 +38,9 @@ class ScReport:
 
 def check_execution(execution: Execution, env: Optional[Env] = None) -> ScReport:
     """Evaluate the SC axiom on a candidate execution."""
-    # the self-built environment runs on the bitset kernel: this is the
-    # enumeration hot path (verdicts are kernel-independent)
-    env = env or build_env(execution, kernel="bit")
+    # the self-built environment evaluates over bitsets (verdicts are
+    # representation-independent)
+    env = env or build_env(execution, bitset=True)
     results = {
         name: eval_formula(axiom, env) for name, axiom in spec.AXIOMS.items()
     }

@@ -83,7 +83,7 @@ def oriented_orders_incremental(
     but maintains the transitive closure incrementally across prefix
     extensions instead of re-running Warshall per leaf, and prunes a
     whole subtree as soon as a prefix edge closes a cycle.  Requires the
-    bitset kernel (``forced`` must be a :class:`BitRel`); the compiled
+    bitset relations (``forced`` must be a :class:`BitRel`); the compiled
     kernel selects this variant.
     """
     forced_closed = forced.closure()

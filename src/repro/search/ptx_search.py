@@ -20,12 +20,13 @@ structure of the model:
    seeded with init-write edges and the cause-forced edges;
 5. check the co-*dependent* axioms only.
 
-The hot path runs on the dense bitset kernel
-(:mod:`repro.relation.bitrel`) with dependency-aware memoisation: binding
-``co`` keeps every cached co-independent value, so each co candidate costs
-only the genuinely co-dependent evaluations.  ``kernel="set"`` retains the
-frozenset representation (the two are compared by the engine-agreement
-tests and the kernel benchmark).
+The default ``kernel="compiled"`` runs the axioms as per-test
+specialized functions over the dense bitset kernel
+(:mod:`repro.lang.compile`, :mod:`repro.relation.bitrel`): binding ``co``
+keeps every co-independent value, so each co candidate costs only the
+genuinely co-dependent evaluations.  ``kernel="set"`` interprets the
+spec over frozenset relations — the reference the kernel-agreement tests
+and the kernel benchmark compare against.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from ..ptx import spec
 from ..ptx.events import Event, Sem, init_write
 from ..ptx.model import ConsistencyReport, build_env
 from ..ptx.program import Elaboration, Program, elaborate
+from ..registry import DEFAULT_KERNEL
 from ..relation import BitRel, Relation
 from .posets import oriented_orders, oriented_orders_incremental
 from .values import valuations
@@ -82,9 +84,9 @@ class EnumStats:
     ``pre_co_pruned`` the (rf, sc) prefixes whose co-independent axioms
     already failed (skipping the whole co loop); ``candidates_checked``
     the fully axiom-checked candidates; ``memo_hits``/``memo_misses`` the
-    closure-evaluation cache behaviour of the interpreted ``set``/``bit``
-    kernels (an :class:`~repro.lang.Env` stats sink; the compiled kernel
-    keeps no memo counters and leaves them at 0); ``axiom_failed`` how
+    closure-evaluation cache behaviour of the interpreted ``set`` kernel
+    (an :class:`~repro.lang.Env` stats sink; the compiled kernel keeps no
+    memo counters and leaves them at 0); ``axiom_failed`` how
     often each named axiom rejected a candidate (or, for SC-per-Location,
     doomed an rf assignment in the pre-check) — the coverage signal the
     fuzzing farm steers on.
@@ -330,9 +332,25 @@ def compiled_ptx_env(program: Program, static: Execution) -> CompiledEnv:
         dynamic=("rf", "sc", "co"),
         mutate=_CO_NAMES,
         warm_names=_CO_NAMES,
-        env_factory=lambda: build_env(static, kernel="bit"),
+        env_factory=lambda: build_env(static, bitset=True),
     )
     return CompiledEnv(model)
+
+
+def static_ptx_env(program: Program, static: Execution, kernel: str, stats):
+    """The static environment and orientation enumerator for ``kernel``.
+
+    ``compiled`` shares the cached :func:`compiled_ptx_env` instance;
+    ``set`` interprets the spec over frozensets and reports its memo
+    behaviour to ``stats``.
+    """
+    if kernel == "compiled":
+        return compiled_ptx_env(program, static), oriented_orders_incremental
+    if kernel != "set":
+        raise ValueError(f"unknown relation kernel {kernel!r}")
+    env = build_env(static)
+    env.stats = stats
+    return env, oriented_orders
 
 
 def candidate_executions(
@@ -340,7 +358,7 @@ def candidate_executions(
     skip_axioms: Tuple[str, ...] = (),
     speculation_values: Sequence[int] = (),
     include_inconsistent: bool = False,
-    kernel: str = "bit",
+    kernel: str = DEFAULT_KERNEL,
     stats: Optional[EnumStats] = None,
     outcomes_only: bool = False,
 ) -> Iterator[Candidate]:
@@ -361,7 +379,17 @@ def candidate_executions(
     :func:`allowed_outcomes` discards those anyway.  Enumeration order,
     pruning, and ``stats`` counters are unchanged.  Ignored under
     ``include_inconsistent``.
+
+    Raises ``ValueError`` (on first iteration) for a ``skip_axioms``
+    name outside ``spec.AXIOMS``: a misspelt name would otherwise
+    silently run the un-ablated experiment.
     """
+    unknown = sorted(set(skip_axioms) - set(spec.AXIOMS))
+    if unknown:
+        raise ValueError(
+            f"unknown axiom(s) {unknown} in skip_axioms; "
+            f"valid axioms: {', '.join(spec.AXIOMS)}"
+        )
     elab = elaborate(program)
     init_events = tuple(
         init_write(eid=len(elab.events) + index, loc=loc)
@@ -392,13 +420,7 @@ def candidate_executions(
         },
     )
     stats = stats if stats is not None else EnumStats()
-    if kernel == "compiled":
-        static_env = compiled_ptx_env(program, static)
-        orders = oriented_orders_incremental
-    else:
-        static_env = build_env(static, kernel=kernel)
-        static_env.stats = stats
-        orders = oriented_orders
+    static_env, orders = static_ptx_env(program, static, kernel, stats)
     ms = static_env.lookup("morally_strong")
     po_loc = static_env.lookup("po_loc")
 
@@ -757,7 +779,7 @@ def allowed_outcomes(
     program: Program,
     skip_axioms: Tuple[str, ...] = (),
     speculation_values: Sequence[int] = (),
-    kernel: str = "bit",
+    kernel: str = DEFAULT_KERNEL,
     stats: Optional[EnumStats] = None,
 ) -> FrozenSet[Outcome]:
     """All outcomes of axiom-consistent executions of ``program``."""

@@ -57,10 +57,10 @@ from ..core.deadline import TimeoutExceeded, check_deadline
 from ..core.execution import Execution, program_order
 from ..ptx import spec
 from ..ptx.events import Event, Sem, init_write
-from ..ptx.model import build_env
 from ..ptx.program import Program, elaborate
+from ..registry import DEFAULT_KERNEL
 from ..relation import Relation
-from .posets import oriented_orders, oriented_orders_incremental
+from .posets import oriented_orders
 from .ptx_search import (
     _CO_DEPENDENT,
     _CO_NAMES,
@@ -68,8 +68,8 @@ from .ptx_search import (
     EnumStats,
     Outcome,
     allowed_outcomes,
-    compiled_ptx_env,
     register_assignment,
+    static_ptx_env,
 )
 from .values import valuations
 
@@ -84,13 +84,6 @@ _PER_CANDIDATE: Tuple[str, ...] = tuple(
     for name in spec.AXIOMS
     if name in _CO_DEPENDENT and name != "Coherence"
 )
-
-#: the co-free half of Axiom 6 (Causality): ``rf`` edges must respect
-#: causality regardless of any coherence choice, so one evaluation per
-#: (rf, sc) prefix can discard it early.  Lives in :mod:`.ptx_search`
-#: (one AST node, identity-shared) so the interpreter's memoisation and
-#: the compiled kernel's per-program instance both apply across engines.
-_RF_CAUSALITY = RF_CAUSALITY
 
 
 def _hits(relation, forbidden: Set[Tuple[Event, Event]]) -> bool:
@@ -277,13 +270,7 @@ def _saturation_outcomes(
             "syncbarrier": elab.syncbarrier,
         },
     )
-    if kernel == "compiled":
-        static_env = compiled_ptx_env(program, static)
-        orders = oriented_orders_incremental
-    else:
-        static_env = build_env(static, kernel=kernel)
-        static_env.stats = stats
-        orders = oriented_orders
+    static_env, orders = static_ptx_env(program, static, kernel, stats)
     ms = static_env.lookup("morally_strong")
     po_loc = static_env.lookup("po_loc")
 
@@ -354,9 +341,11 @@ def _saturation_outcomes(
         for sc_order in orders(sc_required, empty_order):
             check_deadline()
             env = rf_env.bind("sc", sc_order)
+            # RF_CAUSALITY is the co-free half of Axiom 6: one check per
+            # (rf, sc) prefix, shared with ptx_search's compiled instance
             pre_ok = all(
                 env.formula(axiom) for axiom in co_independent
-            ) and env.formula(_RF_CAUSALITY)
+            ) and env.formula(RF_CAUSALITY)
             if not pre_ok:
                 stats.pre_co_pruned += 1
                 continue
@@ -401,7 +390,7 @@ def rf_check_outcomes(
     program: Program,
     skip_axioms: Tuple[str, ...] = (),
     speculation_values: Sequence[int] = (),
-    kernel: str = "bit",
+    kernel: str = DEFAULT_KERNEL,
     stats: Optional[EnumStats] = None,
 ) -> FrozenSet[Outcome]:
     """All outcomes of axiom-consistent executions of ``program``,

@@ -3,8 +3,13 @@
 CPU-style models define coherence as a *total* order over the writes to each
 location (§2.2), so the witness space is: an ``rf`` choice per read, and a
 permutation of writes per location with the init write pinned first.  The
-checker is pluggable, letting TSO and SC (and any future total-co model)
-share the enumeration.
+checker is pluggable, letting TSO and SC share the enumeration.
+
+The registry decides tso and sc on the zoo engine (:mod:`repro.zoo`);
+this straightforward search, which rebuilds and checks one
+:class:`Execution` per candidate, is kept as their independent
+reference — the zoo agreement tests and the operational-equivalence
+tests compare against it.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ unknown model/engine names surface the registry's uniform message.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..litmus.cache import cache_key
 from ..litmus.config import RunConfig
@@ -81,6 +81,8 @@ def parse_test(payload: Dict) -> LitmusTest:
             "'test' (serialized), or 'litmus' (source text)",
         )
     kind = spellings[0]
+    if kind in ("name", "litmus") and not isinstance(payload[kind], str):
+        raise ApiError(400, f"'{kind}' must be a string")
     if kind == "name":
         name = payload["name"]
         by_name = _suite_by_name()

@@ -3,22 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..core.execution import Execution, same_location
-from ..lang import Env, bit_env, eval_formula
+from ..lang import Env, eval_formula, relation_env
 from ..relation import Relation
 from . import spec
 
 
-def build_env(execution: Execution, kernel: str = "set") -> Env:
+def build_env(execution: Execution, bitset: bool = False) -> Env:
     """Environment for the TSO spec over PTX-style events.
 
     TSO has no scopes and no strength distinctions: every access is an
     ordinary load/store.  Fences of any flavour act as full fences (this
     matches the paper's use of TSO purely as an expository baseline), and
     both halves of an atomic are fencing, per §2.2 ("at least one is an
-    atomic read-modify-write operation").
+    atomic read-modify-write operation").  ``bitset`` selects the dense
+    bitset representation; verdicts are identical.
     """
     events = execution.events
     po = execution.relation("po")
@@ -61,11 +62,7 @@ def build_env(execution: Execution, kernel: str = "set") -> Env:
         "R": Relation.set_of(e for e in memory if e.is_read),
         "W": Relation.set_of(e for e in memory if e.is_write),
     }
-    if kernel == "bit":
-        return bit_env(events, bindings, sets=("R", "W"))
-    if kernel != "set":
-        raise ValueError(f"unknown relation kernel {kernel!r}")
-    return Env(universe=Relation.set_of(events), bindings=bindings)
+    return relation_env(events, bindings, sets=("R", "W"), bitset=bitset)
 
 
 @dataclass(frozen=True)
@@ -83,9 +80,9 @@ class TsoReport:
 
 def check_execution(execution: Execution, env: Optional[Env] = None) -> TsoReport:
     """Evaluate the Figure 2 axioms on a candidate execution."""
-    # the self-built environment runs on the bitset kernel: this is the
-    # enumeration hot path (verdicts are kernel-independent)
-    env = env or build_env(execution, kernel="bit")
+    # the self-built environment evaluates over bitsets (verdicts are
+    # representation-independent)
+    env = env or build_env(execution, bitset=True)
     results = {
         name: eval_formula(axiom, env) for name, axiom in spec.AXIOMS.items()
     }

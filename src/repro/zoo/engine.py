@@ -17,8 +17,9 @@ serves every :class:`~repro.zoo.model.ZooModel`:
 
 The cat parser inlines ``let`` definitions at parse time, so every
 constraint references only base names — the environment needs exactly
-the signature's bindings plus the witnesses, and the shared-identity
-ASTs make the evaluator's memoisation effective across candidates.
+the signature's bindings plus the witnesses.  The default compiled
+kernel specializes the constraints per (model, test signature); the
+``set`` kernel interprets them over frozensets as the reference.
 
 Because different models disagree about which writes coherence orders
 (PTX leaves morally weak write pairs unordered, so racy locations
@@ -49,15 +50,15 @@ from ..core.execution import program_order, same_location
 from ..core.scopes import mutually_inclusive
 from ..lang import (
     CompiledEnv,
-    Env,
-    bit_env,
     compiled_model,
     program_signature,
+    relation_env,
     var_deps,
 )
 from ..ptx.events import Event, Sem, init_write
 from ..ptx.model import moral_strength
 from ..ptx.program import Elaboration, Program, elaborate
+from ..registry import DEFAULT_KERNEL
 from ..relation import Relation
 from ..search.posets import (
     oriented_orders,
@@ -242,7 +243,7 @@ def zoo_candidates(
     program: Program,
     skip_axioms: Tuple[str, ...] = (),
     speculation_values: Sequence[int] = (),
-    kernel: str = "bit",
+    kernel: str = DEFAULT_KERNEL,
     stats: Optional[EnumStats] = None,
 ) -> Iterator[Outcome]:
     """Yield the outcome of every ``model``-consistent execution.
@@ -325,18 +326,14 @@ def zoo_candidates(
             dynamic=dynamic,
             mutate=co_names,
             warm_names=co_names,
-            env_factory=lambda: bit_env(
-                events, bindings, sets=model.signature.set_names
+            env_factory=lambda: relation_env(
+                events, bindings, sets=model.signature.set_names, bitset=True
             ),
         )
         env0 = CompiledEnv(cmodel)
         orders = oriented_orders_incremental
-    elif kernel == "bit":
-        env0 = bit_env(events, bindings, sets=model.signature.set_names)
-        env0.stats = stats
-        orders = oriented_orders
     elif kernel == "set":
-        env0 = Env(universe=Relation.set_of(events), bindings=bindings)
+        env0 = relation_env(events, bindings)
         env0.stats = stats
         orders = oriented_orders
     else:
@@ -468,7 +465,7 @@ def zoo_outcomes(
     program: Program,
     skip_axioms: Tuple[str, ...] = (),
     speculation_values: Sequence[int] = (),
-    kernel: str = "bit",
+    kernel: str = DEFAULT_KERNEL,
     stats: Optional[EnumStats] = None,
 ) -> FrozenSet[Outcome]:
     """All outcomes of ``model``-consistent executions of ``program``."""

@@ -218,14 +218,18 @@ class TestCertifiedSession:
 class TestCertifiedCaching:
     def test_cache_key_discriminates_certify(self):
         test = BY_NAME[FORBIDDEN_SYMBOLIC]
-        assert cache_key(test, "ptx", "enumerative", {}) != \
-            cache_key(test, "ptx", "enumerative", {}, certify=True)
+        key = cache_key(test, "ptx", "enumerative", {}, kernel="compiled")
+        assert key != cache_key(
+            test, "ptx", "enumerative", {}, certify=True, kernel="compiled"
+        )
 
     def test_certified_result_survives_cache(self, tmp_path):
         test = BY_NAME[FORBIDDEN_SYMBOLIC]
         cache = ResultCache(tmp_path / "cache")
         result = run_litmus(test, config=CERTIFY)
-        key = cache_key(test, "ptx", "enumerative", {}, certify=True)
+        key = cache_key(
+            test, "ptx", "enumerative", {}, certify=True, kernel="compiled"
+        )
         cache.put(key, result)
         cached = cache.get(key, test)
         assert cached == result

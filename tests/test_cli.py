@@ -130,6 +130,12 @@ class TestSuiteCommand:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_retired_bit_kernel_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["suite", "--kernel", "bit"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bit'" in capsys.readouterr().err
+
 
 class TestRunTimeout:
     def test_timeout_reports_verdict_and_exit_2(self, tmp_path, capsys):

@@ -63,11 +63,12 @@ def test_certified_symbolic_agreement():
 
 @pytest.mark.parametrize("test", SUITE, ids=lambda t: t.name)
 def test_bitset_and_frozenset_kernels_agree(test):
-    """The two relation kernels of the enumerative engine produce the
-    same full outcome set on every suite test."""
+    """The two relation kernels of the enumerative engine — compiled
+    checkers over bitsets and the frozenset reference — produce the same
+    full outcome set on every suite test."""
     from repro.litmus.runner import partition_opts
     from repro.search.ptx_search import allowed_outcomes
 
     opts, _ = partition_opts("ptx", dict(test.search_opts))
-    bit = allowed_outcomes(test.program, kernel="bit", **opts)
-    assert bit == allowed_outcomes(test.program, kernel="set", **opts)
+    compiled = allowed_outcomes(test.program, kernel="compiled", **opts)
+    assert compiled == allowed_outcomes(test.program, kernel="set", **opts)

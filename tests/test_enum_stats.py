@@ -2,11 +2,13 @@
 
 The enumerative PTX engine reports how much work it did (reads-from
 assignments visited, candidates pruned before the co loop, candidates
-fully checked, the interpreted kernels' memo behaviour); those counters
+fully checked, the ``set`` kernel's memo behaviour); those counters
 ride on :class:`~repro.litmus.runner.LitmusResult`, survive
 serialization, and aggregate on
 :class:`~repro.litmus.session.SessionStats`.
 """
+
+import pytest
 
 from repro.core import Scope, device_thread, host_thread
 from repro.litmus import BY_NAME, RunConfig, Session, run_litmus
@@ -35,7 +37,7 @@ def _mp(t0, t1):
 class TestEnumStats:
     def test_counters_populated_by_search(self, t0, t1):
         stats = EnumStats()
-        allowed_outcomes(_mp(t0, t1), kernel="bit", stats=stats)
+        allowed_outcomes(_mp(t0, t1), kernel="set", stats=stats)
         assert stats.rf_assignments > 0
         assert stats.candidates_checked > 0
         assert stats.memo_misses > 0
@@ -110,8 +112,15 @@ class TestResultPlumbing:
         assert result.enum_stats is None
 
     def test_non_ptx_result_carries_none(self):
-        result = run_litmus(BY_NAME["CoRR"], model="sc")
+        result = run_litmus(BY_NAME["CoRR"], model="sc-op")
         assert result.enum_stats is None
+
+    @pytest.mark.parametrize("model", ["sc", "tso"])
+    def test_cpu_models_carry_stats(self, model):
+        """sc and tso run on the zoo engine, which counts its search."""
+        result = run_litmus(BY_NAME["CoRR"], model=model)
+        assert result.enum_stats is not None
+        assert result.enum_stats.rf_assignments > 0
 
     def test_serialization_round_trip(self):
         result = run_litmus(BY_NAME["CoRR"])

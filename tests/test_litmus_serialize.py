@@ -62,7 +62,7 @@ class TestConfigRoundTrip:
         "cache_dir": "/tmp/ptxmm-roundtrip-test",
         "max_attempts": 7,
         "certify": True,
-        "kernel": "compiled",
+        "kernel": "set",
     }
 
     def _config(self):

@@ -1,7 +1,10 @@
 """Tests for the PTX candidate-execution enumerator."""
 
+import pytest
+
 from repro.core import Scope, device_thread
-from repro.ptx import ProgramBuilder, Sem
+from repro.litmus import BY_NAME, RunConfig, run_litmus
+from repro.ptx import ProgramBuilder, Sem, spec
 from repro.search import allowed_outcomes, candidate_executions
 
 T0 = device_thread(0, 0, 0)
@@ -128,3 +131,29 @@ class TestLastWriteWins:
         )
         for outcome in allowed_outcomes(prog):
             assert outcome.register(T1, "r1") in (0, 2)
+
+
+class TestAblationNames:
+    """A misspelt ``skip_axioms`` name must fail loudly, not silently run
+    the un-ablated experiment."""
+
+    def test_unknown_axiom_rejected_naming_the_valid_ones(self):
+        with pytest.raises(ValueError, match="Coherense") as excinfo:
+            allowed_outcomes(
+                BY_NAME["CoRW"].program, skip_axioms=("Coherense",)
+            )
+        for name in spec.AXIOMS:
+            assert name in str(excinfo.value)
+
+    @pytest.mark.parametrize("model,engine", [
+        ("ptx", "enumerative"),
+        ("ptx", "rf-check"),
+        ("ptx-legacy", "enumerative"),
+    ])
+    def test_every_ptx_path_checks_the_names(self, model, engine):
+        config = RunConfig(
+            model=model, engine=engine,
+            search_opts={"skip_axioms": ("Coherense",)},
+        )
+        with pytest.raises(ValueError, match="unknown axiom"):
+            run_litmus(BY_NAME["CoRW"], config=config)

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.registry import (
+    DEFAULT_KERNEL,
     ENGINES,
     MODELS,
     UnknownNameError,
     engine_names,
     engines_for_model,
+    kernel_names,
     model_names,
     partition_opts,
     resolve_engine,
@@ -28,6 +30,10 @@ class TestNames:
         assert names[0] == "enumerative"
         for expected in ("symbolic", "symbolic-enum", "rf-check"):
             assert expected in names
+
+    def test_kernels_are_compiled_and_its_set_reference(self):
+        assert kernel_names() == ("set", "compiled")
+        assert DEFAULT_KERNEL == "compiled"
 
 
 class TestResolution:

@@ -5,8 +5,15 @@ import json
 import pytest
 
 import repro.litmus.cache as cache_mod
-from repro.litmus import BY_NAME, ResultCache, cache_key, run_litmus
+from repro.litmus import BY_NAME, ResultCache, run_litmus
 from repro.litmus.cache import default_cache_dir
+from repro.registry import DEFAULT_KERNEL
+
+
+def cache_key(test, model, engine, opts, **kwargs):
+    """The cache key at the default kernel unless a test names one."""
+    kwargs.setdefault("kernel", DEFAULT_KERNEL)
+    return cache_mod.cache_key(test, model, engine, opts, **kwargs)
 
 
 class TestCacheKey:
@@ -140,5 +147,5 @@ class TestSchemaMigration:
     def test_kernel_salts_key_under_any_version(self, monkeypatch):
         test = BY_NAME["CoRR"]
         monkeypatch.setattr(cache_mod, "CACHE_SCHEMA_VERSION", 99)
-        assert cache_key(test, "ptx", "enumerative", {}) != \
+        assert cache_key(test, "ptx", "enumerative", {}, kernel="set") != \
             cache_key(test, "ptx", "enumerative", {}, kernel="compiled")

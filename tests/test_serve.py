@@ -148,7 +148,10 @@ class TestVerdictStore:
         test = BY_NAME["MP+weak"]
         config = RunConfig(model="ptx")
         result = run_litmus(test, config)
-        key = cache_key(test, "ptx", "enumerative", {}, certify=False)
+        key = cache_key(
+            test, "ptx", "enumerative", {}, certify=False,
+            kernel=config.kernel,
+        )
         disk = ResultCache(tmp_path)
         disk.put(key, result)
 
@@ -277,6 +280,13 @@ class TestProtocol:
         assert excinfo.value.status == 400
         assert "unknown engine" in excinfo.value.message
 
+    @pytest.mark.parametrize("spelling", ["name", "litmus"])
+    def test_non_string_test_spelling_is_400(self, spelling):
+        with pytest.raises(ApiError) as excinfo:
+            parse_test({spelling: ["CoRR"]})
+        assert excinfo.value.status == 400
+        assert f"'{spelling}' must be a string" in excinfo.value.message
+
     def test_request_key_matches_session_cache_key(self):
         """The service and the Session must agree on content addresses,
         or the two-level store and the disk cache would diverge."""
@@ -288,7 +298,10 @@ class TestProtocol:
         merged = dict(test.search_opts)
         merged.update(config.opts)
         kept, _ = partition_opts(config.model, merged)
-        expected = cache_key(test, "ptx", "enumerative", kept, certify=False)
+        expected = cache_key(
+            test, "ptx", "enumerative", kept, certify=False,
+            kernel=config.kernel,
+        )
         assert request_key(test, config) == expected
 
 
@@ -670,6 +683,32 @@ class TestWireEdges:
                     client.run("MP+weak", model="tso", engine="rf-check")
                 assert excinfo.value.status == 400
                 assert "only the 'ptx' model" in excinfo.value.message
+        finally:
+            handle.stop()
+
+    def test_non_string_name_is_400(self):
+        config = ServeConfig(port=0, use_cache=False)
+        service, handle = _start(config)
+        try:
+            with Client(handle.host, handle.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.run(["CoRR"])
+            assert excinfo.value.status == 400
+            assert "'name' must be a string" in excinfo.value.message
+        finally:
+            handle.stop()
+
+    def test_retired_bit_kernel_is_400(self):
+        config = ServeConfig(port=0, use_cache=False)
+        service, handle = _start(config)
+        try:
+            with Client(handle.host, handle.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.run("MP+weak", kernel="bit")
+            assert excinfo.value.status == 400
+            assert excinfo.value.message == (
+                "unknown kernel 'bit'; valid kernels: compiled, set"
+            )
         finally:
             handle.stop()
 

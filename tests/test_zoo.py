@@ -8,8 +8,9 @@ These tests pin that contract:
 * declaration-time validation catches malformed models at import;
 * every shipped declaration's cat free names are covered by the names
   the engine binds (no model can reference a relation nobody builds);
-* the generic engine agrees with the native ptx/tso/sc engines
-  outcome-for-outcome on suite tests;
+* the generic engine agrees outcome-for-outcome with the native ptx
+  engine and with the independent total-coherence search for tso/sc
+  (which dispatch to the generic engine themselves);
 * the conformance matrix classifies pairs correctly, carries witnesses,
   round-trips through JSON, and is byte-deterministic (the CI golden
   depends on it).
@@ -107,6 +108,21 @@ class TestDeclarations:
             assert claim.rationale  # every edge is documented
 
 
+def _reference_outcomes(model, program, **opts):
+    """The outcome set from an engine independent of the zoo's: the
+    native PTX search, or the total-coherence search for tso/sc."""
+    if model == "ptx":
+        from repro.search.ptx_search import allowed_outcomes
+
+        return allowed_outcomes(program, **opts)
+    from repro.scmodel import check_execution as sc_check
+    from repro.search.total_search import allowed_outcomes_total
+    from repro.tso import check_execution as tso_check
+
+    check = {"tso": tso_check, "sc": sc_check}[model]
+    return allowed_outcomes_total(program, check, **opts)
+
+
 class TestGenericEngineAgreement:
     """zoo_outcomes must reproduce the dedicated engines exactly."""
 
@@ -115,14 +131,31 @@ class TestGenericEngineAgreement:
         "test_name", ["MP+weak", "SB+weak", "MP+rel_acq.gpu"]
     )
     def test_agrees_with_native_engine(self, model, test_name):
-        from repro.litmus.config import RunConfig
-        from repro.litmus.runner import decide
         from repro.zoo import zoo_outcomes
 
         test = BY_NAME[test_name]
-        native = decide(test, RunConfig(model=model, engine="enumerative"))
-        assert native.status == "ok"
-        assert zoo_outcomes(model, test.program) == native.outcomes
+        assert zoo_outcomes(model, test.program) == \
+            _reference_outcomes(model, test.program)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("model", ["tso", "sc"])
+    def test_cpu_models_match_total_search_everywhere(self, model):
+        """The registry's tso/sc (the zoo engine, either kernel) equal
+        the total-coherence search on the whole suite and CORPUS4."""
+        from repro.litmus.config import RunConfig
+        from repro.litmus.corpus import corpus_length4
+        from repro.litmus.runner import decide
+        from repro.litmus.suite import SUITE
+        from repro.registry import partition_opts
+
+        tests = list(SUITE) + [g.test for _, _, g in corpus_length4()]
+        for test in tests:
+            opts, _ = partition_opts(model, dict(test.search_opts))
+            expected = _reference_outcomes(model, test.program, **opts)
+            for kernel in ("compiled", "set"):
+                result = decide(test, RunConfig(model=model, kernel=kernel))
+                assert result.status == "ok", (test.name, result.detail)
+                assert result.outcomes == expected, (test.name, kernel)
 
     def test_skip_axioms_validated_against_cat_labels(self):
         from repro.zoo import zoo_outcomes
