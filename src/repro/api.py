@@ -22,7 +22,7 @@ notice.  The surface is deliberately small:
   same engine stack (``ptxmm serve`` / ``ptxmm client``);
 * **fuzz** — the coverage-guided fuzzing farm (:class:`FarmConfig` /
   :func:`run_farm` / :class:`CoverageMap` / :func:`sensitivity_matrix`),
-  the library face of ``ptxmm farm``;
+  the library face of ``ptxmm fuzz`` and ``ptxmm farm``;
 * **zoo** — the declarative model zoo (:class:`ZooModel` and its parts,
   :data:`ZOO_MODELS`, :func:`zoo_names`, :func:`containment_claims`),
   the generic axiomatic engine (:func:`zoo_outcomes`,

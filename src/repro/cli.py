@@ -236,62 +236,28 @@ def _cmd_isa2(args: argparse.Namespace) -> int:
     return status
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .fuzz import FuzzBudget, recheck_artifact, run_fuzz
+def _farm_config(args: argparse.Namespace, **shape):
+    """The farm run the shared ``fuzz``/``farm`` flags describe."""
+    from .fuzz import FuzzBudget
+    from .fuzz.farm import FarmConfig
 
-    if args.recheck is not None:
-        verdict, reshrunk = recheck_artifact(
-            args.recheck, perturb=args.perturb, timeout=args.timeout,
-            kernel=args.kernel,
-        )
-        if verdict.clean:
-            print(f"{args.recheck}: no discrepancy (engines agree)")
-            if verdict.undecided:
-                print(f"  undecided checks: {', '.join(verdict.undecided)}")
-            return 0
-        for d in verdict.discrepancies:
-            print(f"{args.recheck}: {d.kind} still reproduces")
-            print(f"  {d.left_label} vs {d.right_label}: {d.detail}")
-        if reshrunk is not None and reshrunk.steps:
-            print(f"  re-shrunk in {reshrunk.steps} step(s):")
-            from .litmus.serialize import test_to_litmus
-
-            print("    " + test_to_litmus(reshrunk.test).replace("\n", "\n    "))
-        return 1
-
-    try:
-        budget = FuzzBudget.parse(args.budget)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def progress(stats):
-        if args.stats:
-            print(f"  ... {stats.format()}", file=sys.stderr)
-
-    print(
-        f"fuzzing: seed={args.seed} budget={budget} jobs={args.jobs}"
-        + (f" perturb={args.perturb}" if args.perturb else "")
+    return FarmConfig(
+        seed=args.seed,
+        budget=FuzzBudget.parse(args.budget),
+        jobs=args.jobs,
+        timeout=args.timeout,
+        perturb=args.perturb,
+        artifact_dir=args.artifact_dir,
+        max_found=args.max_found,
+        kernel=args.kernel,
+        **shape,
     )
-    try:
-        report = run_fuzz(
-            seed=args.seed,
-            budget=budget,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            perturb=args.perturb,
-            artifact_dir=args.artifact_dir,
-            max_found=args.max_found,
-            progress=progress,
-            kernel=args.kernel,
-        )
-    except ValueError as exc:  # e.g. unknown --perturb axiom
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"{report.stats.format()} elapsed={report.elapsed:.1f}s")
-    if report.ok:
-        print("no discrepancies: all engines agree on every generated test")
-        return 0
+
+
+def _print_found(report) -> None:
+    """Each shrunk discrepancy of a fuzz run, then how to reproduce them."""
+    from .litmus.serialize import test_to_litmus
+
     for found in report.found:
         d = found.discrepancy
         print()
@@ -307,46 +273,81 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         if found.artifact_dir is not None:
             print(f"  artifact: {found.artifact_dir}")
         else:
-            from .litmus.serialize import test_to_litmus
-
             print("  " + test_to_litmus(found.shrunk.test).replace("\n", "\n  "))
     print()
     print(
-        f"{len(report.found)} discrepancy(ies); reproduce with "
-        f"--seed {report.seed}"
+        f"{report.found_total} distinct discrepancy(ies); reproduce "
+        f"with --seed {report.config.seed}"
     )
+
+
+def _cmd_fuzz(args: argparse.Namespace) -> int:
+    import os
+
+    if args.recheck is not None:
+        from .fuzz import recheck_artifact
+
+        try:
+            verdict, reshrunk = recheck_artifact(
+                args.recheck, perturb=args.perturb, timeout=args.timeout,
+                kernel=args.kernel,
+            )
+        except (OSError, ValueError) as exc:  # unreadable or not litmus
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if verdict.clean:
+            print(f"{args.recheck}: no discrepancy (engines agree)")
+            if verdict.undecided:
+                print(f"  undecided checks: {', '.join(verdict.undecided)}")
+            return 0
+        for d in verdict.discrepancies:
+            print(f"{args.recheck}: {d.kind} still reproduces")
+            print(f"  {d.left_label} vs {d.right_label}: {d.detail}")
+        if reshrunk is not None and reshrunk.steps:
+            print(f"  re-shrunk in {reshrunk.steps} step(s):")
+            from .litmus.serialize import test_to_litmus
+
+            print("    " + test_to_litmus(reshrunk.test).replace("\n", "\n    "))
+        return 1
+
+    from .fuzz.farm import run_farm
+
+    def progress(report):
+        if args.stats:
+            print(f"  ... {report.stats.format()}", file=sys.stderr)
+
+    # the blind farm without a checkpoint; rounds of a few cases per
+    # worker let --max-found stop a broken-engine run after one round
+    workers = args.jobs or (os.cpu_count() or 1)
+    try:
+        config = _farm_config(
+            args, steer=False, seed_corpus=False, checkpoint=None,
+            round_size=max(2 * workers, 8),
+        )
+        print(
+            f"fuzzing: seed={config.seed} budget={config.budget} "
+            f"jobs={config.jobs}"
+            + (f" perturb={config.perturb}" if config.perturb else "")
+        )
+        report = run_farm(config, progress=progress)
+    except (OSError, ValueError) as exc:  # e.g. unknown --perturb axiom
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"{report.stats.format()} elapsed={report.elapsed:.1f}s")
+    if report.ok:
+        print("no discrepancies: all engines agree on every generated test")
+        return 0
+    _print_found(report)
     return 1
 
 
 def _cmd_farm(args: argparse.Namespace) -> int:
-    from .fuzz import FuzzBudget
-    from .fuzz.farm import FarmConfig, run_farm, write_corpus
+    from .fuzz.farm import run_farm, write_corpus
     from .fuzz.sensitivity import (
         axiom_probes,
         render_sensitivity,
         sensitivity_matrix,
         undetected_axioms,
-    )
-
-    try:
-        budget = FuzzBudget.parse(args.budget)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    config = FarmConfig(
-        seed=args.seed,
-        budget=budget,
-        jobs=args.jobs,
-        timeout=args.timeout,
-        round_size=args.round_size,
-        steer=not args.no_steer,
-        boost=args.boost,
-        perturb=args.perturb,
-        artifact_dir=args.artifact_dir,
-        max_found=args.max_found,
-        checkpoint=args.checkpoint,
-        kernel=args.kernel,
     )
 
     def progress(report):
@@ -357,15 +358,19 @@ def _cmd_farm(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    print(
-        f"farm: seed={config.seed} budget={budget} jobs={config.jobs} "
-        f"steer={'on' if config.steer else 'off'}"
-        + (f" perturb={config.perturb}" if config.perturb else "")
-        + (f" checkpoint={config.checkpoint}" if config.checkpoint else "")
-    )
     try:
+        config = _farm_config(
+            args, round_size=args.round_size, boost=args.boost,
+            checkpoint=args.checkpoint,
+        )
+        print(
+            f"farm: seed={config.seed} budget={config.budget} "
+            f"jobs={config.jobs}"
+            + (f" perturb={config.perturb}" if config.perturb else "")
+            + (f" checkpoint={config.checkpoint}" if config.checkpoint else "")
+        )
         report = run_farm(config, progress=progress)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # bad flag or checkpoint
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(
@@ -421,21 +426,7 @@ def _cmd_farm(args: argparse.Namespace) -> int:
             )
 
     if not report.ok:
-        for found in report.found:
-            d = found.discrepancy
-            print()
-            print(
-                f"DISCREPANCY {d.kind} on case {found.case.index} "
-                f"(cycle {found.case.cycle})"
-            )
-            print(f"  {d.left_label} vs {d.right_label}: {d.detail}")
-            if found.artifact_dir is not None:
-                print(f"  artifact: {found.artifact_dir}")
-        print()
-        print(
-            f"{report.found_total} distinct discrepancy(ies); reproduce "
-            f"with --seed {report.config.seed}"
-        )
+        _print_found(report)
         return 1
     return status
 
@@ -776,6 +767,52 @@ def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_fuzz_flags(parser: argparse.ArgumentParser, budget: str) -> None:
+    """The flags of ``fuzz`` and ``farm``: both run the one farm loop."""
+    parser.add_argument(
+        "--budget", default=budget, metavar="N|Ns|Nm|Nh",
+        help="a case count ('200': the total stream length, which a "
+             "resumed farm continues toward) or a wall clock ('60s', "
+             f"'5m', '1h') bounding this invocation; default {budget} "
+             "cases",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="RNG seed; the same seed and count budget replay the "
+             "identical case stream (default 0)",
+    )
+    parser.add_argument(
+        "--jobs", "-j", type=int, default=1,
+        help="worker processes for engine runs (0 = one per CPU core; "
+             "default 1 = in-process)",
+    )
+    parser.add_argument(
+        "--timeout", type=float, default=20.0, metavar="SECONDS",
+        help="per-engine-run budget; over-budget runs make their checks "
+             "undecided, never a discrepancy (default 20)",
+    )
+    parser.add_argument(
+        "--perturb", default=None, metavar="AXIOM",
+        help="deliberately skip one PTX axiom on the enumerative side "
+             "(negative control: the run must find discrepancies)",
+    )
+    parser.add_argument(
+        "--artifact-dir", default=None, metavar="DIR",
+        help="write repro-<kind>-<hash>/ artifacts (shrunk repro.litmus, "
+             "original.litmus, report.json) for every distinct discrepancy",
+    )
+    parser.add_argument(
+        "--max-found", type=int, default=10,
+        help="stop after shrinking this many distinct discrepancies "
+             "(default 10)",
+    )
+    parser.add_argument(
+        "--stats", action="store_true",
+        help="print running counters to stderr after every round",
+    )
+    _add_kernel_flag(parser)
+
+
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     """Execution-subsystem flags shared by the sweep commands."""
     _add_kernel_flag(parser)
@@ -894,50 +931,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fuzz",
         help="differential fuzzing: generate tests, cross-check all engines",
     )
-    p_fuzz.add_argument(
-        "--budget", default="200", metavar="N|Ns|Nm|Nh",
-        help="how long to fuzz: a case count ('200') or wall clock "
-             "('60s', '5m', '1h'); default 200 cases",
-    )
-    p_fuzz.add_argument(
-        "--seed", type=int, default=0,
-        help="RNG seed; the same seed and budget replay the identical "
-             "case stream (default 0)",
-    )
-    p_fuzz.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="worker processes for engine runs (0 = one per CPU core; "
-             "default 1 = in-process)",
-    )
-    p_fuzz.add_argument(
-        "--timeout", type=float, default=20.0, metavar="SECONDS",
-        help="per-engine-run budget; over-budget runs make their checks "
-             "undecided, never a discrepancy (default 20)",
-    )
-    p_fuzz.add_argument(
-        "--perturb", default=None, metavar="AXIOM",
-        help="deliberately skip one PTX axiom on the enumerative side "
-             "(negative control: the run must find discrepancies)",
-    )
-    p_fuzz.add_argument(
-        "--artifact-dir", default=None, metavar="DIR",
-        help="write repro-<kind>-<hash>/ artifacts (shrunk repro.litmus, "
-             "original.litmus, report.json) for every distinct discrepancy",
-    )
-    p_fuzz.add_argument(
-        "--max-found", type=int, default=10,
-        help="stop after shrinking this many discrepancies (default 10)",
-    )
+    _add_fuzz_flags(p_fuzz, budget="200")
     p_fuzz.add_argument(
         "--recheck", default=None, metavar="LITMUS_FILE",
         help="instead of fuzzing, replay one artifact litmus file through "
              "the oracle (exit 1 if the discrepancy still reproduces)",
     )
-    p_fuzz.add_argument(
-        "--stats", action="store_true",
-        help="print running counters to stderr after every batch",
-    )
-    _add_kernel_flag(p_fuzz)
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
     p_farm = sub.add_parser(
@@ -945,33 +944,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="coverage-guided fuzzing farm: steer generation toward "
              "uncovered features, checkpoint/resume, distill a corpus",
     )
-    p_farm.add_argument(
-        "--budget", default="300", metavar="N|Ns|Nm|Nh",
-        help="a count budget N is the total stream length (resume "
-             "continues toward it); a duration bounds this invocation "
-             "(default 300 cases)",
-    )
-    p_farm.add_argument(
-        "--seed", type=int, default=0,
-        help="RNG seed for the case stream (default 0)",
-    )
-    p_farm.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="worker processes for engine runs (0 = one per CPU core; "
-             "default 1 = in-process)",
-    )
-    p_farm.add_argument(
-        "--timeout", type=float, default=20.0, metavar="SECONDS",
-        help="per-engine-run budget (default 20)",
-    )
+    _add_fuzz_flags(p_farm, budget="300")
     p_farm.add_argument(
         "--round-size", type=int, default=64, metavar="N",
         help="cases per steering round; generation bias refreshes from "
              "the coverage map at round boundaries only (default 64)",
-    )
-    p_farm.add_argument(
-        "--no-steer", action="store_true",
-        help="disable coverage steering (blind farm; still checkpoints)",
     )
     p_farm.add_argument(
         "--boost", type=float, default=8.0,
@@ -979,23 +956,9 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(default 8)",
     )
     p_farm.add_argument(
-        "--perturb", default=None, metavar="AXIOM",
-        help="skip one PTX axiom on the enumerative side "
-             "(negative control)",
-    )
-    p_farm.add_argument(
         "--checkpoint", default=None, metavar="FILE",
         help="checkpoint file: saved after every round, resumed from "
              "when it exists (config must match)",
-    )
-    p_farm.add_argument(
-        "--artifact-dir", default=None, metavar="DIR",
-        help="write repro-<kind>-<hash>/ artifacts for every distinct "
-             "shrunk discrepancy",
-    )
-    p_farm.add_argument(
-        "--max-found", type=int, default=10,
-        help="stop after this many distinct discrepancies (default 10)",
     )
     p_farm.add_argument(
         "--corpus-out", default=None, metavar="DIR",
@@ -1015,11 +978,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--sensitivity-out", default=None, metavar="FILE",
         help="with --check-sensitivity, write the matrix JSON here",
     )
-    p_farm.add_argument(
-        "--stats", action="store_true",
-        help="print per-round counters to stderr",
-    )
-    _add_kernel_flag(p_farm)
     p_farm.set_defaults(func=_cmd_farm)
 
     p_exp = sub.add_parser(

@@ -16,16 +16,16 @@ weak-memory tooling is validated in practice:
 * :mod:`.shrink` — a greedy discrepancy minimizer: drop threads and
   instructions, weaken conditions and annotations, canonicalize values,
   keeping every step that still reproduces the discrepancy;
-* :mod:`.harness` — the ``ptxmm fuzz`` engine: budgets (count or
-  wall-clock), parallel execution through the session machinery, and
-  artifact emission (shrunk repro as parseable litmus text plus a JSON
-  report) on every distinct discrepancy (deduped by canonical-form
-  hash);
+* :mod:`.harness` — what every fuzz run shares: budgets (count or
+  wall-clock), counters, the shrink predicate, artifact emission (shrunk
+  repro as parseable litmus text plus a JSON report, one per distinct
+  canonical-form hash), and artifact replay;
 * :mod:`.coverage` — the structural coverage signal (feature
   extraction, the mergeable :class:`~repro.fuzz.coverage.CoverageMap`,
   greedy corpus distillation);
-* :mod:`.farm` — the ``ptxmm farm`` engine: coverage-steered rounds,
-  checkpoint/resume, artifact dedup, corpus emission;
+* :mod:`.farm` — the one fuzz loop, behind ``ptxmm fuzz`` (blind) and
+  ``ptxmm farm`` (coverage-steered rounds, checkpoint/resume, corpus
+  emission);
 * :mod:`.sensitivity` — the axiom-ablation sensitivity matrix (the
   empirical mirror of the paper's Figure 17) over corpus shapes.
 """
@@ -49,11 +49,9 @@ from .farm import (
 from .gen import DEFAULT_VOCABULARY, FuzzCase, GenBias, cycle_pool, generate_case
 from .harness import (
     FuzzBudget,
-    FuzzReport,
     FuzzStats,
     canonical_test_hash,
     recheck_artifact,
-    run_fuzz,
 )
 from .sensitivity import (
     axiom_probes,
@@ -65,7 +63,7 @@ from .oracle import (
     Check,
     CaseVerdict,
     Discrepancy,
-    EngineSpec,
+    EngineRun,
     Oracle,
     check_test,
     default_checks,
@@ -79,11 +77,9 @@ __all__ = [
     "cycle_pool",
     "generate_case",
     "FuzzBudget",
-    "FuzzReport",
     "FuzzStats",
     "canonical_test_hash",
     "recheck_artifact",
-    "run_fuzz",
     "CoverageMap",
     "bias_from_coverage",
     "case_features",
@@ -103,7 +99,7 @@ __all__ = [
     "Check",
     "CaseVerdict",
     "Discrepancy",
-    "EngineSpec",
+    "EngineRun",
     "Oracle",
     "check_test",
     "default_checks",

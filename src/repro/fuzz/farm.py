@@ -1,7 +1,8 @@
-"""The coverage-guided fuzzing farm behind ``ptxmm farm``.
+"""The one fuzz loop, behind ``ptxmm fuzz`` and ``ptxmm farm``.
 
-Where ``ptxmm fuzz`` explores blindly, the farm closes the loop: every
-round it regenerates its :class:`~repro.fuzz.gen.GenBias` from the live
+``ptxmm fuzz`` runs it blind: ``steer=False``, no suite seeding, no
+checkpoint.  ``ptxmm farm`` closes the loop: every round it regenerates
+its :class:`~repro.fuzz.gen.GenBias` from the live
 :class:`~repro.fuzz.coverage.CoverageMap`, so generation is steered
 toward annotation combinations, cycle edges, layouts, and axiom-failure
 branches that no case has exhibited yet.  Rounds are the determinism
@@ -9,12 +10,13 @@ unit — bias only changes at round boundaries, so every case is a pure
 function of ``(seed, index, coverage-at-round-start)`` and any round is
 replayable from its checkpoint.
 
-The farm checkpoints after every round (atomic write-then-rename): the
-coverage map, the artifact dedup set, the corpus candidates, and the
-next stream index.  Resuming continues the identical case stream, so an
-interrupted-then-resumed farm converges to the same coverage map and
-dedup set as an uninterrupted run with the same seed — the property
-nightly CI relies on to accumulate coverage across sessions.
+Given a checkpoint file, the farm saves after every round (atomic
+write-then-rename): the coverage map, the artifact dedup set, the
+corpus candidates, and the next stream index.  Resuming continues the
+identical case stream, so an interrupted-then-resumed farm converges to
+the same coverage map and dedup set as an uninterrupted run with the
+same seed — the property nightly CI relies on to accumulate coverage
+across sessions.
 
 A count budget is the *total stream length*: ``run_farm`` with
 ``budget=1000`` processes indices 0..999 however many sessions that
@@ -56,7 +58,7 @@ from .harness import (
     write_artifact,
     _shrink_predicate,
 )
-from .oracle import CaseVerdict, Check, EngineSpec, Oracle, default_checks
+from .oracle import CaseVerdict, Check, EngineRun, Oracle, default_checks
 from .shrink import shrink
 
 #: serialization shape of the farm checkpoint
@@ -90,6 +92,16 @@ class FarmConfig:
     #: relation kernel for every engine run (verdict-neutral, so it is
     #: deliberately absent from the resume fingerprint)
     kernel: str = DEFAULT_KERNEL
+
+    def __post_init__(self):
+        # a zero round never advances the stream and a negative one walks
+        # it backwards; a non-positive boost breaks the bias weights
+        if self.round_size < 1:
+            raise ValueError(
+                f"round size must be at least 1, not {self.round_size}"
+            )
+        if not self.boost > 0:
+            raise ValueError(f"boost must be positive, not {self.boost}")
 
     def fingerprint(self) -> Dict[str, object]:
         """The resume-compatibility echo stored in checkpoints."""
@@ -132,30 +144,6 @@ class FarmReport:
         })
 
 
-def _stats_to_dict(stats: FuzzStats) -> Dict:
-    return {
-        "generated": stats.generated,
-        "checks_run": stats.checks_run,
-        "undecided": stats.undecided,
-        "discrepancies": stats.discrepancies,
-        "deduped": stats.deduped,
-        "by_check": dict(sorted(stats.by_check.items())),
-    }
-
-
-def _stats_from_dict(data: Dict) -> FuzzStats:
-    stats = FuzzStats()
-    stats.generated = int(data.get("generated", 0))
-    stats.checks_run = int(data.get("checks_run", 0))
-    stats.undecided = int(data.get("undecided", 0))
-    stats.discrepancies = int(data.get("discrepancies", 0))
-    stats.deduped = int(data.get("deduped", 0))
-    stats.by_check = {
-        str(k): int(v) for k, v in dict(data.get("by_check", {})).items()
-    }
-    return stats
-
-
 def save_checkpoint(path: str, report: FarmReport) -> None:
     """Atomically persist the farm state (write temp, then rename)."""
     payload = {
@@ -178,7 +166,7 @@ def save_checkpoint(path: str, report: FarmReport) -> None:
             }
             for name, record in sorted(report.candidates.items())
         },
-        "stats": _stats_to_dict(report.stats),
+        "stats": report.stats.as_dict(),
     }
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -187,15 +175,58 @@ def save_checkpoint(path: str, report: FarmReport) -> None:
     os.replace(temp, target)
 
 
+def _dedup_from_list(entries) -> Dict[Tuple[str, str], Optional[str]]:
+    return {
+        (str(kind), str(digest)): location
+        for kind, digest, location in entries
+    }
+
+
+def _candidates_from_dict(records) -> Dict[str, Dict]:
+    return {
+        str(name): {
+            "index": int(record["index"]),
+            "cycle": record.get("cycle"),
+            "features": frozenset(record["features"]),
+            "test": record["test"],
+        }
+        for name, record in records.items()
+    }
+
+
 def load_checkpoint(path: str, config: FarmConfig) -> FarmReport:
-    """Rebuild farm state from a checkpoint, validating compatibility."""
-    payload = json.loads(Path(path).read_text())
+    """Rebuild farm state from a checkpoint, validating compatibility.
+
+    Anything that is not a checkpoint this build wrote — not JSON, not
+    an object, a field missing or of the wrong shape — raises
+    :class:`ValueError` naming the file and the field.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path} is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"checkpoint {path} holds a JSON {type(payload).__name__}, "
+            "not an object"
+        )
+
+    def read(name: str, convert, *default):
+        try:
+            value = payload.get(name, *default) if default else payload[name]
+            return convert(value)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"checkpoint {path}: missing or malformed field {name!r} "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
+
     if payload.get("schema") != FARM_SCHEMA:
         raise ValueError(
-            f"unsupported farm checkpoint schema {payload.get('schema')!r} "
-            f"(this build reads v{FARM_SCHEMA})"
+            f"checkpoint {path}: unsupported farm checkpoint schema "
+            f"{payload.get('schema')!r} (this build reads v{FARM_SCHEMA})"
         )
-    echo = payload.get("config", {})
+    echo = read("config", dict, {})
     expected = config.fingerprint()
     if echo != expected:
         drift = sorted(
@@ -207,24 +238,16 @@ def load_checkpoint(path: str, config: FarmConfig) -> FarmReport:
             f"configuration (differs on: {', '.join(drift)}); resume with "
             "matching options or start a fresh checkpoint"
         )
-    report = FarmReport(
+    return FarmReport(
         config=config,
-        stats=_stats_from_dict(payload.get("stats", {})),
-        coverage=CoverageMap.from_dict(payload["coverage"]),
-        rounds=int(payload.get("rounds", 0)),
-        next_index=int(payload.get("next_index", 0)),
-        found_total=int(payload.get("found_total", 0)),
+        stats=read("stats", FuzzStats.from_dict, {}),
+        coverage=read("coverage", CoverageMap.from_dict),
+        candidates=read("candidates", _candidates_from_dict, {}),
+        dedup=read("dedup", _dedup_from_list, []),
+        rounds=read("rounds", int, 0),
+        next_index=read("next_index", int, 0),
+        found_total=read("found_total", int, 0),
     )
-    for kind, digest, location in payload.get("dedup", []):
-        report.dedup[(str(kind), str(digest))] = location
-    for name, record in payload.get("candidates", {}).items():
-        report.candidates[str(name)] = {
-            "index": int(record["index"]),
-            "cycle": record.get("cycle"),
-            "features": frozenset(record["features"]),
-            "test": record["test"],
-        }
-    return report
 
 
 def _case_verdict_features(
@@ -262,7 +285,7 @@ def run_farm(
         battery,
         base_config=RunConfig(timeout=config.timeout, kernel=config.kernel),
     )
-    primary_spec = EngineSpec("ptx/enumerative")
+    primary_run = EngineRun("ptx/enumerative")
 
     if config.checkpoint is not None and Path(config.checkpoint).exists():
         report = load_checkpoint(config.checkpoint, config)
@@ -286,7 +309,7 @@ def run_farm(
             return oracle.evaluate(tests, session)
         # coverage-only mode: one reference run per case, no comparisons
         tasks = [
-            (test, primary_spec.config(oracle.base_config)) for test in tests
+            (test, primary_run.config(oracle.base_config)) for test in tests
         ]
         results = session.run_tasks(tasks)
         return [

@@ -1,24 +1,27 @@
-"""The fuzzing engine behind ``ptxmm fuzz``.
+"""The pieces every fuzz run shares: budgets, counters, artifacts, recheck.
 
-Drives the generate → oracle → shrink pipeline under a budget (a case
-count or a wall-clock limit), batching engine work through one
-:class:`~repro.litmus.session.Session` so ``--jobs`` parallelism and
-failure isolation come from the existing machinery.
+The one fuzz loop is :func:`repro.fuzz.farm.run_farm`; ``ptxmm fuzz``
+runs it blind (no steering, no suite seeding, no checkpoint) and
+``ptxmm farm`` runs it steered.  This module holds what that loop and
+its callers share: the :class:`FuzzBudget` (a case count or a
+wall-clock limit), the :class:`FuzzStats` counters and their JSON form,
+the shrink predicate, artifact emission, and :func:`recheck_artifact`.
 
-Reproducibility contract: with a count budget, a run is a pure function
-of ``(seed, budget, checks)`` — the generated tests, the per-check
-counters, and any discrepancies found are identical across runs, job
-counts, and machines.  Wall-clock budgets necessarily vary in how *far*
-they get, but the case stream itself is still the same, so any case a
-timed run found can be replayed by index.
+Reproducibility contract: with a count budget, a blind run is a pure
+function of ``(seed, budget, checks)`` — the generated tests, the
+per-check counters, and any discrepancies found are identical across
+runs, job counts, and machines.  Wall-clock budgets necessarily vary in
+how *far* they get, but the case stream itself is still the same, so
+any case a timed run found can be replayed by index.
 
-On a discrepancy the harness shrinks the failing test (re-checking
+On a discrepancy the loop shrinks the failing test (re-checking
 candidates in-process against the same check battery) and, given an
-artifact directory, writes ``repro-<kind>-<hash>/`` containing the
-shrunk ``repro.litmus`` (parseable, with the seed in a comment header),
-the unshrunk ``original.litmus``, and a machine-readable ``report.json``.
-The hash is the canonical-form hash of the shrunk test, so two cases
-that minimize to the same repro share one artifact — index-based names
+artifact directory, :func:`write_artifact` writes
+``repro-<kind>-<hash>/`` containing the shrunk ``repro.litmus``
+(parseable, with the seed in a comment header), the unshrunk
+``original.litmus``, and a machine-readable ``report.json``.  The hash
+is the canonical-form hash of the shrunk test, so two cases that
+minimize to the same repro share one artifact — index-based names
 collided when ``--max-found`` raced the jobs pool, and hid the fact
 that a hundred "findings" were one bug.
 """
@@ -28,18 +31,16 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..litmus.config import RunConfig
 from ..litmus.parser import parse_litmus
 from ..litmus.serialize import canonical_json, test_to_dict, test_to_litmus
-from ..litmus.session import Session
 from ..litmus.test import LitmusTest
 from ..registry import DEFAULT_KERNEL
-from .gen import FuzzCase, generate_case
+from .gen import FuzzCase
 from .oracle import CaseVerdict, Check, Discrepancy, Oracle, default_checks
 from .shrink import EngineCrash, ShrinkResult, shrink
 
@@ -105,6 +106,22 @@ class FuzzStats:
         for kind in verdict.agreed:
             self.by_check[kind] = self.by_check.get(kind, 0) + 1
 
+    def as_dict(self) -> Dict:
+        """The JSON form stored in farm checkpoints."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "FuzzStats":
+        """Inverse of :meth:`as_dict`; absent counters read as zero."""
+        by_check = {
+            str(k): int(v) for k, v in dict(data.get("by_check", {})).items()
+        }
+        counters = {
+            f.name: int(data.get(f.name, 0))
+            for f in fields(cls) if f.name != "by_check"
+        }
+        return cls(by_check=by_check, **counters)
+
     def format(self) -> str:
         per_check = " ".join(
             f"{kind}={count}" for kind, count in sorted(self.by_check.items())
@@ -125,21 +142,6 @@ class FoundDiscrepancy:
     discrepancy: Discrepancy
     shrunk: ShrinkResult
     artifact_dir: Optional[str] = None
-
-
-@dataclass
-class FuzzReport:
-    """Everything one fuzz run produced."""
-
-    seed: int
-    budget: FuzzBudget
-    stats: FuzzStats
-    found: List[FoundDiscrepancy] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.found
 
 
 def canonical_test_hash(test: LitmusTest) -> str:
@@ -238,94 +240,6 @@ def _shrink_predicate(
         return False
 
     return still_fails
-
-
-def run_fuzz(
-    seed: int,
-    budget: FuzzBudget,
-    jobs: int = 1,
-    timeout: Optional[float] = 20.0,
-    perturb: Optional[str] = None,
-    checks: Optional[Sequence[Check]] = None,
-    artifact_dir: Optional[str] = None,
-    shrink_attempts: int = 2000,
-    max_found: int = 10,
-    progress: Optional[Callable[[FuzzStats], None]] = None,
-    kernel: str = DEFAULT_KERNEL,
-) -> FuzzReport:
-    """Fuzz the engines; see the module docstring for the contract.
-
-    ``perturb`` deliberately breaks the enumerative PTX engine by
-    skipping the named axiom — the self-test mode proving the pipeline
-    detects and shrinks real disagreements.  ``max_found`` stops a run
-    early once that many discrepancies were minimized: a systematically
-    broken engine would otherwise turn the whole budget into slow
-    shrinking work.
-    """
-    oracle = Oracle(
-        checks if checks is not None else default_checks(perturb),
-        base_config=RunConfig(timeout=timeout, kernel=kernel),
-    )
-    stats = FuzzStats()
-    report = FuzzReport(seed=seed, budget=budget, stats=stats)
-    started = time.perf_counter()
-    session_config = RunConfig(jobs=jobs, timeout=timeout, kernel=kernel)
-    directory = Path(artifact_dir) if artifact_dir is not None else None
-    index = 0
-    # (check kind, canonical-form hash of the shrunk repro) -> artifact:
-    # identical findings dedup to one entry however many cases hit them
-    seen_repros: Dict[Tuple[str, str], Optional[str]] = {}
-    with Session(session_config) as session:
-        batch_size = max(2 * session.jobs, 8)
-        while True:
-            if budget.count is not None:
-                remaining = budget.count - stats.generated
-                if remaining <= 0:
-                    break
-                batch = min(batch_size, remaining)
-            else:
-                if time.perf_counter() - started >= budget.seconds:
-                    break
-                batch = batch_size
-            cases = [generate_case(seed, i) for i in range(index, index + batch)]
-            index += batch
-            verdicts = oracle.evaluate([case.test for case in cases], session)
-            for case, verdict in zip(cases, verdicts):
-                stats.record(verdict)
-                for discrepancy in verdict.discrepancies:
-                    if len(report.found) >= max_found:
-                        continue
-                    shrunk = shrink(
-                        case.test,
-                        _shrink_predicate(oracle, discrepancy.kind),
-                        max_attempts=shrink_attempts,
-                    )
-                    dedup_key = (
-                        discrepancy.kind, canonical_test_hash(shrunk.test)
-                    )
-                    if dedup_key in seen_repros:
-                        stats.deduped += 1
-                        continue
-                    location = None
-                    if directory is not None:
-                        location = str(
-                            write_artifact(directory, case, discrepancy, shrunk)
-                        )
-                    seen_repros[dedup_key] = location
-                    report.found.append(
-                        FoundDiscrepancy(
-                            case=case,
-                            discrepancy=discrepancy,
-                            shrunk=shrunk,
-                            artifact_dir=location,
-                        )
-                    )
-            if progress is not None:
-                progress(stats)
-            if len(report.found) >= max_found:
-                break
-    report.elapsed = time.perf_counter() - started
-    return report
 
 
 def recheck_artifact(

@@ -28,7 +28,7 @@ from ..registry import resolve_engine, resolve_model
 
 
 @dataclass(frozen=True)
-class EngineSpec:
+class EngineRun:
     """One way of deciding a litmus test: model + engine + options."""
 
     label: str
@@ -38,13 +38,13 @@ class EngineSpec:
     certify: bool = False
 
     def __post_init__(self):
-        # one uniform unknown-name error, at spec construction rather
+        # one uniform unknown-name error, at construction rather
         # than deep inside a batched oracle run
         resolve_model(self.model)
         resolve_engine(self.engine)
 
     def config(self, base: Optional[RunConfig] = None) -> RunConfig:
-        """This spec as a run config (timeout inherited from ``base``)."""
+        """This run as a run config (timeout inherited from ``base``)."""
         base = base if base is not None else RunConfig()
         return base.evolve(
             model=self.model,
@@ -56,7 +56,7 @@ class EngineSpec:
 
 @dataclass(frozen=True)
 class Check:
-    """Compare two engine specs on one test.
+    """Compare two engine runs on one test.
 
     ``compare``:
 
@@ -73,8 +73,8 @@ class Check:
     """
 
     kind: str
-    left: EngineSpec
-    right: EngineSpec
+    left: EngineRun
+    right: EngineRun
     compare: str = "outcomes"
     requires_operational: bool = False
 
@@ -133,10 +133,10 @@ def containment_checks() -> Tuple[Check, ...]:
     return tuple(
         Check(
             kind=f"{claim.stronger}-within-{claim.weaker}",
-            left=EngineSpec(
+            left=EngineRun(
                 f"{claim.stronger}/enumerative", model=claim.stronger
             ),
-            right=EngineSpec(
+            right=EngineRun(
                 f"{claim.weaker}/enumerative", model=claim.weaker
             ),
             compare="contained",
@@ -166,14 +166,14 @@ def default_checks(perturb: Optional[str] = None) -> Tuple[Check, ...]:
             )
         opts = freeze_opts({"skip_axioms": (perturb,)})
         label = f"ptx/enumerative[skip {perturb}]"
-    enum = EngineSpec(label, search_opts=opts)
-    symbolic = EngineSpec("ptx/symbolic", engine="symbolic")
-    symbolic_enum = EngineSpec("ptx/symbolic-enum", engine="symbolic-enum")
-    rf_check = EngineSpec("ptx/rf-check", engine="rf-check")
-    sc = EngineSpec("sc/enumerative", model="sc")
-    sc_op = EngineSpec("sc/operational", model="sc-op")
-    tso = EngineSpec("tso/enumerative", model="tso")
-    tso_op = EngineSpec("tso/operational", model="tso-op")
+    enum = EngineRun(label, search_opts=opts)
+    symbolic = EngineRun("ptx/symbolic", engine="symbolic")
+    symbolic_enum = EngineRun("ptx/symbolic-enum", engine="symbolic-enum")
+    rf_check = EngineRun("ptx/rf-check", engine="rf-check")
+    sc = EngineRun("sc/enumerative", model="sc")
+    sc_op = EngineRun("sc/operational", model="sc-op")
+    tso = EngineRun("tso/enumerative", model="tso")
+    tso_op = EngineRun("tso/operational", model="tso-op")
     return (
         Check("ptx-verdict", enum, symbolic, compare="verdict"),
         Check("ptx-outcomes", enum, symbolic_enum, compare="outcomes"),
@@ -269,31 +269,31 @@ class Oracle:
         self.checks = tuple(checks if checks is not None else default_checks())
         self.base_config = base_config
 
-    def _specs_for(self, test: LitmusTest) -> List[EngineSpec]:
-        """Unique engine specs needed by the checks that apply to ``test``."""
-        specs: List[EngineSpec] = []
+    def _runs_for(self, test: LitmusTest) -> List[EngineRun]:
+        """Unique engine runs needed by the checks that apply to ``test``."""
+        runs: List[EngineRun] = []
         for check in self.checks:
             if not check.applies(test):
                 continue
-            for spec in (check.left, check.right):
-                if spec not in specs:
-                    specs.append(spec)
-        return specs
+            for run in (check.left, check.right):
+                if run not in runs:
+                    runs.append(run)
+        return runs
 
     def evaluate(
         self, tests: Sequence[LitmusTest], session: Session
     ) -> List[CaseVerdict]:
         """Judge every test; engine runs are batched through ``session``."""
         base = self.base_config or session.config
-        plan: List[Tuple[int, EngineSpec]] = []
+        plan: List[Tuple[int, EngineRun]] = []
         for index, test in enumerate(tests):
-            for spec in self._specs_for(test):
-                plan.append((index, spec))
-        tasks = [(tests[index], spec.config(base)) for index, spec in plan]
+            for run in self._runs_for(test):
+                plan.append((index, run))
+        tasks = [(tests[index], run.config(base)) for index, run in plan]
         results = session.run_tasks(tasks)
-        by_case: Dict[int, Dict[EngineSpec, LitmusResult]] = {}
-        for (index, spec), result in zip(plan, results):
-            by_case.setdefault(index, {})[spec] = result
+        by_case: Dict[int, Dict[EngineRun, LitmusResult]] = {}
+        for (index, run), result in zip(plan, results):
+            by_case.setdefault(index, {})[run] = result
         return [
             self._judge(test, by_case.get(index, {}))
             for index, test in enumerate(tests)
@@ -302,13 +302,13 @@ class Oracle:
     def evaluate_one(self, test: LitmusTest) -> CaseVerdict:
         """Judge one test in-process (no session; the shrinker's path)."""
         base = self.base_config or RunConfig()
-        produced: Dict[EngineSpec, LitmusResult] = {}
-        for spec in self._specs_for(test):
-            config = spec.config(base)
+        produced: Dict[EngineRun, LitmusResult] = {}
+        for run in self._runs_for(test):
+            config = run.config(base)
             try:
-                produced[spec] = decide(test, config)
+                produced[run] = decide(test, config)
             except Exception as exc:  # noqa: BLE001 — undecided, not fatal
-                produced[spec] = LitmusResult(
+                produced[run] = LitmusResult(
                     test=test,
                     model=config.model,
                     observed=False,
@@ -319,7 +319,7 @@ class Oracle:
         return self._judge(test, produced)
 
     def _judge(
-        self, test: LitmusTest, produced: Dict[EngineSpec, LitmusResult]
+        self, test: LitmusTest, produced: Dict[EngineRun, LitmusResult]
     ) -> CaseVerdict:
         discrepancies: List[Discrepancy] = []
         undecided: List[str] = []
@@ -358,8 +358,8 @@ class Oracle:
                     )
                 )
         primary = None
-        for spec, result in produced.items():
-            if spec.model != "ptx" or spec.engine != "enumerative":
+        for run, result in produced.items():
+            if run.model != "ptx" or run.engine != "enumerative":
                 continue
             if result.status == "ok":
                 primary = result

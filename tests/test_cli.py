@@ -161,3 +161,38 @@ class TestCompareCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "tso=allowed, sc=forbidden" in out
+
+
+class TestFuzzCommands:
+    """Bad input to ``fuzz`` and ``farm`` prints ``error:`` and exits 2."""
+
+    def test_recheck_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.litmus")
+        assert main(["fuzz", "--recheck", missing]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_recheck_non_litmus_file(self, tmp_path, capsys):
+        path = tmp_path / "notes.litmus"
+        path.write_text("this is not a litmus test\n")
+        assert main(["fuzz", "--recheck", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_no_steer_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["farm", "--no-steer"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--round-size", "0"], ["--boost", "-1"]]
+    )
+    def test_bad_farm_shape_rejected(self, flags, capsys):
+        # a wall-clock budget keeps an unvalidated run finite
+        assert main(["farm", "--budget", "1s", *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_rejected(self, tmp_path, capsys):
+        path = tmp_path / "farm.json"
+        path.write_text("[1, 2]")
+        assert main(["farm", "--budget", "1", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(path) in err

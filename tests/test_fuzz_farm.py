@@ -114,6 +114,12 @@ class TestCheckpointFormat:
         assert loaded.next_index == report.next_index
         assert loaded.rounds == report.rounds
         assert loaded.stats == report.stats
+        # saving what was loaded rewrites the identical bytes
+        again = str(tmp_path / "again.json")
+        save_checkpoint(again, loaded)
+        assert (tmp_path / "again.json").read_bytes() == (
+            (tmp_path / "farm.json").read_bytes()
+        )
 
     def test_incompatible_config_names_the_drift(self, tmp_path):
         report = self._report()
@@ -125,11 +131,61 @@ class TestCheckpointFormat:
         assert "boost" in str(excinfo.value)
         assert "seed" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "mangle,field",
+        [
+            (lambda payload: [1, 2], "JSON list"),
+            (lambda payload: payload.pop("coverage"), "'coverage'"),
+            (
+                lambda payload: next(
+                    iter(payload["candidates"].values())
+                ).pop("index"),
+                "'candidates'",
+            ),
+        ],
+        ids=["not-an-object", "no-coverage", "candidate-without-index"],
+    )
+    def test_malformed_checkpoint_names_file_and_field(
+        self, tmp_path, mangle, field
+    ):
+        report = self._report()
+        report.candidates["t"] = {
+            "index": 3, "cycle": None, "features": frozenset({"edge:Rfe"}),
+            "test": {},
+        }
+        path = tmp_path / "farm.json"
+        save_checkpoint(str(path), report)
+        payload = json.loads(path.read_text())
+        replaced = mangle(payload)
+        path.write_text(json.dumps(
+            replaced if isinstance(replaced, list) else payload
+        ))
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(str(path), report.config)
+        assert str(path) in str(excinfo.value)
+        assert field in str(excinfo.value)
+
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "farm.json"
         path.write_text(json.dumps({"schema": FARM_SCHEMA + 1}))
         with pytest.raises(ValueError, match="schema"):
             load_checkpoint(str(path), self._report().config)
+
+
+class TestFarmConfigValidation:
+    """A zero round never advanced the stream (a count budget spun
+    forever), a negative one walked it backwards, and a non-positive
+    boost crashed steering once it started."""
+
+    @pytest.mark.parametrize("round_size", [0, -1])
+    def test_round_size_must_be_positive(self, round_size):
+        with pytest.raises(ValueError, match="round size"):
+            _config(round_size=round_size)
+
+    @pytest.mark.parametrize("boost", [0.0, -1.0])
+    def test_boost_must_be_positive(self, boost):
+        with pytest.raises(ValueError, match="boost"):
+            _config(boost=boost)
 
 
 @pytest.mark.slow

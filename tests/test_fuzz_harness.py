@@ -1,17 +1,46 @@
-"""Tests for the fuzzing harness: budgets, reproducibility, artifacts,
-and the deliberately-broken-engine negative control."""
+"""Tests for ``ptxmm fuzz`` and the pieces it shares with the farm:
+budgets, reproducibility, artifacts, recheck, and the
+deliberately-broken-engine negative control.
+
+``ptxmm fuzz`` is the blind farm; these tests drive it through the CLI
+and read back the :class:`~repro.fuzz.farm.FarmReport` it produced."""
 
 import json
+import os
 
 import pytest
 
-from repro.fuzz import FuzzBudget, recheck_artifact, run_fuzz
+import repro.fuzz.farm as farm
+from repro.cli import main
+from repro.fuzz import FuzzBudget, recheck_artifact
 from repro.fuzz.harness import FuzzStats
 from repro.litmus.parser import parse_litmus
 
 #: the negative-control axiom: racy generated tests trip per-location SC
 #: constantly, so even a tiny budget reliably finds the injected bug
 PERTURB = "SC-per-Location"
+
+#: every check of the default battery
+CHECKS = (
+    "ptx-outcomes", "ptx-rf-outcomes", "ptx-verdict", "sc-operational",
+    "sc-within-imm", "sc-within-tso", "scoped-rc11-sc-within-scoped-rc11",
+    "scoped-rc11-within-ptx", "tso-operational",
+)
+
+
+def fuzz(*argv):
+    """Run ``ptxmm fuzz ARGV``; return its exit status and farm report."""
+    reports = []
+    real_run_farm = farm.run_farm
+
+    def spy(config, **kwargs):
+        reports.append(real_run_farm(config, **kwargs))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(farm, "run_farm", spy)
+        status = main(["fuzz", *argv])
+    return status, reports[0]
 
 
 class TestFuzzBudget:
@@ -40,23 +69,100 @@ class TestFuzzBudget:
             assert str(FuzzBudget.parse(text)) == text
 
 
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.slow
+class TestFuzzCommand:
+    """``ptxmm fuzz`` is the blind farm: no steering, no suite seeding,
+    no checkpoint, and rounds of ``max(2 * workers, 8)`` cases."""
+
+    def _config(self, monkeypatch, *argv):
+        configs = []
+
+        def capture(config, **kwargs):
+            configs.append(config)
+            raise _Stop()
+
+        monkeypatch.setattr(farm, "run_farm", capture)
+        with pytest.raises(_Stop):
+            main(["fuzz", *argv])
+        return configs[0]
+
+    def test_reaches_the_blind_checkpoint_free_farm(self, monkeypatch):
+        config = self._config(monkeypatch, "--budget", "48", "--seed", "3")
+        assert config.budget == FuzzBudget(count=48)
+        assert config.seed == 3
+        assert config.steer is False
+        assert config.seed_corpus is False
+        assert config.checkpoint is None
+        assert config.round_size == 8
+
+    @pytest.mark.parametrize(
+        "jobs,workers", [("2", 2), ("6", 6), ("0", os.cpu_count() or 1)]
+    )
+    def test_round_size_scales_with_workers(self, monkeypatch, jobs, workers):
+        config = self._config(monkeypatch, "--jobs", jobs)
+        assert config.round_size == max(2 * workers, 8)
+
+    def test_seed_3_stats_are_pinned(self):
+        status, report = fuzz("--budget", "48", "--seed", "3")
+        assert status == 0 and report.ok
+        assert report.stats == FuzzStats(
+            generated=48, checks_run=432, undecided=0, discrepancies=0,
+            by_check={kind: 48 for kind in CHECKS},
+        )
+
+    def test_perturbed_findings_are_pinned(self):
+        """The negative control's seed: three kinds on case 2, each
+        shrunk in 5 steps, and the run stops after its first round."""
+        status, report = fuzz(
+            "--budget", "100", "--seed", "20260805", "--perturb", PERTURB,
+            "--max-found", "3",
+        )
+        assert status == 1
+        assert [
+            (f.case.index, f.discrepancy.kind, f.shrunk.steps)
+            for f in report.found
+        ] == [
+            (2, "ptx-verdict", 5),
+            (2, "ptx-outcomes", 5),
+            (2, "ptx-rf-outcomes", 5),
+        ]
+        assert report.stats.generated == 8
+
+    def test_prints_found_discrepancies_inline(self, capsys):
+        status, _ = fuzz(
+            "--budget", "8", "--seed", "20260805", "--perturb", PERTURB,
+            "--max-found", "1",
+        )
+        out = capsys.readouterr().out
+        assert status == 1
+        assert "DISCREPANCY ptx-verdict on case 2" in out
+        assert "shrunk in 5 step(s)" in out
+        assert "  ptx test fuzz_20260805_2" in out
+        assert "1 distinct discrepancy(ies); reproduce with --seed 20260805" in out
+
+
 @pytest.mark.slow
 class TestReproducibility:
     def test_stats_are_bit_reproducible(self):
-        a = run_fuzz(seed=3, budget=FuzzBudget(count=10))
-        b = run_fuzz(seed=3, budget=FuzzBudget(count=10))
+        a_status, a = fuzz("--budget", "10", "--seed", "3")
+        b_status, b = fuzz("--budget", "10", "--seed", "3")
         assert a.stats == b.stats
+        assert a_status == b_status == 0
         assert a.ok and b.ok
 
     def test_job_count_does_not_change_the_stats(self):
-        solo = run_fuzz(seed=3, budget=FuzzBudget(count=10), jobs=1)
-        multi = run_fuzz(seed=3, budget=FuzzBudget(count=10), jobs=2)
+        _, solo = fuzz("--budget", "10", "--seed", "3", "--jobs", "1")
+        _, multi = fuzz("--budget", "10", "--seed", "3", "--jobs", "2")
         assert solo.stats == multi.stats
 
     def test_wall_clock_budget_terminates(self):
-        report = run_fuzz(seed=3, budget=FuzzBudget(seconds=1.0))
+        _, report = fuzz("--budget", "1s", "--seed", "3")
         assert report.stats.generated > 0
-        # a generous ceiling: one batch may straddle the deadline
+        # a generous ceiling: one round may straddle the deadline
         assert report.elapsed < 30.0
 
 
@@ -68,13 +174,12 @@ class TestNegativeControl:
     @pytest.fixture(scope="class")
     def report(self, tmp_path_factory):
         directory = tmp_path_factory.mktemp("artifacts")
-        return directory, run_fuzz(
-            seed=7,
-            budget=FuzzBudget(count=12),
-            perturb=PERTURB,
-            artifact_dir=str(directory),
-            max_found=2,
+        status, result = fuzz(
+            "--budget", "12", "--seed", "7", "--perturb", PERTURB,
+            "--artifact-dir", str(directory), "--max-found", "2",
         )
+        assert status == 1
+        return directory, result
 
     def test_broken_engine_is_caught(self, report):
         _, result = report
@@ -101,7 +206,7 @@ class TestNegativeControl:
         for found in result.found:
             target = directory / found.artifact_dir.rsplit("/", 1)[-1]
             repro = (target / "repro.litmus").read_text()
-            assert f"seed {result.seed}" in repro
+            assert f"seed {result.config.seed}" in repro
             parsed = parse_litmus(repro)
             assert parsed.program == found.shrunk.test.program
             parse_litmus((target / "original.litmus").read_text())
@@ -137,6 +242,17 @@ class TestNegativeControl:
         assert verdict.clean
         assert reshrunk is None
 
+    def test_recheck_command_exit_status(self, report, capsys):
+        directory, result = report
+        found = result.found[0]
+        repro = str(
+            directory / found.artifact_dir.rsplit("/", 1)[-1] / "repro.litmus"
+        )
+        assert main(["fuzz", "--recheck", repro, "--perturb", PERTURB]) == 1
+        assert "still reproduces" in capsys.readouterr().out
+        assert main(["fuzz", "--recheck", repro]) == 0
+        assert "no discrepancy" in capsys.readouterr().out
+
     def test_max_found_stops_the_run_early(self, report):
         _, result = report
         assert len(result.found) <= 2
@@ -152,6 +268,19 @@ class TestFuzzStats:
             "generated=4 checks=20 undecided=1 discrepancies=0 "
             "[ptx-verdict=4]"
         )
+
+    def test_dict_form_round_trips(self):
+        stats = FuzzStats(
+            generated=4, checks_run=20, undecided=1, discrepancies=2,
+            deduped=1, by_check={"ptx-verdict": 4, "ptx-outcomes": 3},
+        )
+        assert stats.as_dict() == {
+            "generated": 4, "checks_run": 20, "undecided": 1,
+            "discrepancies": 2, "deduped": 1,
+            "by_check": {"ptx-outcomes": 3, "ptx-verdict": 4},
+        }
+        assert FuzzStats.from_dict(stats.as_dict()) == stats
+        assert FuzzStats.from_dict({}) == FuzzStats()
 
 
 class TestCrashReporting:
@@ -295,19 +424,14 @@ class TestArtifactDedup:
         """Two fuzz cases whose discrepancies minimize to the same
         canonical form: one artifact on disk, one found entry, the
         duplicate counted in stats.deduped."""
-        import repro.fuzz.harness as harness
-        from repro.fuzz import FuzzBudget, run_fuzz
         from repro.fuzz.shrink import ShrinkResult
 
         fixed = ShrinkResult(test=self._fixed_point(), steps=0, attempts=1)
-        monkeypatch.setattr(harness, "shrink", lambda *a, **kw: fixed)
+        monkeypatch.setattr(farm, "shrink", lambda *a, **kw: fixed)
 
-        report = run_fuzz(
-            seed=7,
-            budget=FuzzBudget(count=8),
-            perturb=PERTURB,
-            artifact_dir=str(tmp_path),
-            max_found=50,
+        _, report = fuzz(
+            "--budget", "8", "--seed", "7", "--perturb", PERTURB,
+            "--artifact-dir", str(tmp_path), "--max-found", "50",
         )
         assert report.stats.discrepancies >= 2
         by_kind = {}

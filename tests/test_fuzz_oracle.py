@@ -4,7 +4,7 @@ import pytest
 
 from repro.fuzz.oracle import (
     Check,
-    EngineSpec,
+    EngineRun,
     Oracle,
     check_test,
     compare_results,
@@ -104,12 +104,12 @@ class TestCompareResults:
 
     def setup_method(self):
         self.test = parse_litmus(SCPL_SENSITIVE)
-        self.check_outcomes = Check("k", EngineSpec("L"), EngineSpec("R"))
+        self.check_outcomes = Check("k", EngineRun("L"), EngineRun("R"))
         self.check_verdict = Check(
-            "k", EngineSpec("L"), EngineSpec("R"), compare="verdict"
+            "k", EngineRun("L"), EngineRun("R"), compare="verdict"
         )
         self.check_subset = Check(
-            "k", EngineSpec("L"), EngineSpec("R"), compare="subset"
+            "k", EngineRun("L"), EngineRun("R"), compare="subset"
         )
 
     def test_outcome_agreement(self):
@@ -161,7 +161,7 @@ class TestOracle:
 
     def test_engine_error_is_undecided_not_discrepancy(self):
         test = parse_litmus(SCPL_SENSITIVE)
-        oracle = Oracle((Check("k", EngineSpec("L"), EngineSpec("R")),))
+        oracle = Oracle((Check("k", EngineRun("L"), EngineRun("R")),))
         good = LitmusResult(
             test=test, model="ptx", observed=True, outcomes=frozenset({1}),
         )
@@ -170,7 +170,7 @@ class TestOracle:
             status="timeout",
         )
         verdict = oracle._judge(
-            test, {EngineSpec("L"): good, EngineSpec("R"): bad}
+            test, {EngineRun("L"): good, EngineRun("R"): bad}
         )
         assert verdict.clean
         assert verdict.undecided == ("k",)
@@ -179,7 +179,7 @@ class TestOracle:
 
     def test_engine_crash_is_recorded_on_the_errors_field(self):
         test = parse_litmus(SCPL_SENSITIVE)
-        oracle = Oracle((Check("k", EngineSpec("L"), EngineSpec("R")),))
+        oracle = Oracle((Check("k", EngineRun("L"), EngineRun("R")),))
         good = LitmusResult(
             test=test, model="ptx", observed=True, outcomes=frozenset({1}),
         )
@@ -188,7 +188,7 @@ class TestOracle:
             status="error", detail="KeyError: 'r9'",
         )
         verdict = oracle._judge(
-            test, {EngineSpec("L"): good, EngineSpec("R"): crashed}
+            test, {EngineRun("L"): good, EngineRun("R"): crashed}
         )
         # still undecided (a crash decides nothing), but the crash is
         # additionally recorded so the shrinker can tell the two apart
