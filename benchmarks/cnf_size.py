@@ -1,0 +1,45 @@
+"""CNF size of the symbolic encoding over the litmus suite.
+
+Translates every suite test the SAT encoding accepts (the condition
+included, as ``--engine symbolic`` decides it) without solving, and
+prints each test's variable and clause counts plus the totals quoted in
+EXPERIMENTS.md ("Symbolic translation")::
+
+    PYTHONPATH=src python benchmarks/cnf_size.py [--per-test]
+"""
+
+import argparse
+
+from repro.kodkod.finder import translate_problem
+from repro.kodkod.litmus import UnsupportedCondition, encode_litmus
+from repro.litmus import SUITE
+
+
+def suite_cnf_sizes():
+    """``{test name: (variables, clauses)}`` over the encodable suite."""
+    sizes = {}
+    for test in SUITE:
+        try:
+            goal, bounds, configure = encode_litmus(test)
+        except UnsupportedCondition:
+            continue
+        cnf = translate_problem(goal, bounds, configure).cnf
+        sizes[test.name] = (cnf.num_vars, len(cnf.clauses))
+    return sizes
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--per-test", action="store_true")
+    args = parser.parse_args()
+    sizes = suite_cnf_sizes()
+    if args.per_test:
+        for name, (variables, clauses) in sizes.items():
+            print(f"{name:28s} {variables:6d} vars {clauses:7d} clauses")
+    print(f"{len(sizes)} tests: "
+          f"{sum(v for v, _ in sizes.values())} vars, "
+          f"{sum(c for _, c in sizes.values())} clauses")
+
+
+if __name__ == "__main__":
+    main()

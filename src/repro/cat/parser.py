@@ -30,6 +30,7 @@ Precedence (loosest to tightest): ``|``, ``\\``, ``&``, ``;``, postfix.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -137,9 +138,13 @@ class CatModel:
                 return formula
         raise KeyError(name)
 
-    @property
+    @functools.cached_property
     def free_names(self) -> Tuple[str, ...]:
-        """Base relation/set names the model expects the environment to bind."""
+        """Base relation/set names the model expects the environment to bind.
+
+        Computed once per model: the walk covers the whole AST, and
+        engines consult it on every test.
+        """
         defined = {name for name, _ in self.definitions}
         seen: Dict[str, None] = {}
         for _, expr in self.definitions:

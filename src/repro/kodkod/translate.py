@@ -2,13 +2,23 @@
 
 Every relational expression denotes, under given bounds, a *boolean matrix*:
 a sparse map from tuples to SAT literals (missing tuples are constant
-false).  Expressions translate compositionally — union is an OR gate per
-tuple, join is an OR of ANDs over the matched column, and transitive
-closure is unrolled by iterative squaring, exactly as Kodkod computes it
-("by iterating r = r ∪ r.r enough times to cover the upper bound", §5.3).
+false).  As in Kodkod, matrix tuples hold atom *positions* in the
+universe rather than the atoms themselves, so the translation hashes and
+orders small ints only.  Expressions translate compositionally — union
+is an OR gate per tuple, join is an OR of ANDs over the matched column,
+and transitive closure is unrolled by iterative squaring, exactly as
+Kodkod computes it ("by iterating r = r ∪ r.r enough times to cover the
+upper bound", §5.3).
 
 Formulas translate to single literals via Tseitin gates, so they can be
 negated, conjoined, and asserted freely.
+
+Exactly-bounded relations (``po``, ``sloc``, ``morally_strong``, the
+event-class sets — Kodkod's partial instances) denote matrices of the
+constant true literal.  The gates of :class:`~repro.sat.cnf.Cnf` propagate
+those constants and share structurally equal gates, as Kodkod's boolean
+circuits do (Torlak & Jackson, TACAS 2007), so only the subformulas that
+depend on the free witness relations reach the CNF.
 """
 
 from __future__ import annotations
@@ -21,8 +31,9 @@ from ..sat.cnf import Cnf
 from ..sat.solver import SolverStats
 from .bounds import Bounds
 
-#: A sparse boolean matrix: tuple -> SAT literal (absent tuples are false).
-Matrix = Dict[tuple, int]
+#: A sparse boolean matrix: tuple of universe positions -> SAT literal
+#: (absent tuples are false).
+Matrix = Dict[Tuple[int, ...], int]
 
 
 @dataclass
@@ -64,22 +75,42 @@ class Translator:
         self.bounds = bounds
         self.cnf = Cnf()
         self.free_vars: Dict[str, Dict[tuple, int]] = {}
-        self._expr_cache: Dict[ast.Expr, Matrix] = {}
+        #: id(node) -> (node, matrix); the node is pinned so its id stays
+        #: unique, and identity lookups skip re-hashing frozen subtrees
+        self._expr_cache: Dict[int, Tuple[ast.Expr, Matrix]] = {}
+        position = {atom: i for i, atom in enumerate(bounds.universe)}
+        self._size = len(position)
+
+        def positions(tuples) -> List[Tuple[Tuple[int, ...], tuple]]:
+            # positional order, not hash order: variable numbering and
+            # matrix insertion order feed gate creation, so the CNF (and
+            # its DRAT certificates) must not vary with hash randomization
+            return sorted(
+                (tuple(position[atom] for atom in t), t) for t in tuples
+            )
+
+        #: relation name -> its matrix, shared by every Var node naming it
+        self._relations: Dict[str, Matrix] = {}
         for name, bound in bounds.relations.items():
+            matrix = {
+                key: self.cnf.true_lit() for key, _ in positions(bound.lower)
+            }
             per_rel: Dict[tuple, int] = {}
-            for t in sorted(bound.slack, key=repr):
-                per_rel[t] = self.cnf.new_var()
+            for key, t in positions(bound.slack):
+                per_rel[t] = matrix[key] = self.cnf.new_var()
             self.free_vars[name] = per_rel
+            self._relations[name] = matrix
 
     # ------------------------------------------------------------------
     # expressions
     # ------------------------------------------------------------------
     def matrix(self, expr: ast.Expr) -> Matrix:
         """The boolean matrix denoted by ``expr`` (cached per node)."""
-        if expr in self._expr_cache:
-            return self._expr_cache[expr]
+        entry = self._expr_cache.get(id(expr))
+        if entry is not None:
+            return entry[1]
         result = self._compute(expr)
-        self._expr_cache[expr] = result
+        self._expr_cache[id(expr)] = (expr, result)
         return result
 
     def _compute(self, expr: ast.Expr) -> Matrix:
@@ -91,17 +122,11 @@ class Translator:
                     f"relation {expr.name!r} bound at arity {bound.arity}, "
                     f"used at arity {expr.arity}"
                 )
-            # sort the frozenset lower bound: matrix insertion order feeds
-            # downstream gate creation, and hash order varies per process
-            out: Matrix = {
-                t: cnf.true_lit() for t in sorted(bound.lower, key=repr)
-            }
-            out.update(self.free_vars[expr.name])
-            return out
+            return self._relations[expr.name]
         if isinstance(expr, ast.Iden):
-            return {(a, a): cnf.true_lit() for a in self.bounds.universe}
+            return {(a, a): cnf.true_lit() for a in range(self._size)}
         if isinstance(expr, ast.Univ):
-            return {(a,): cnf.true_lit() for a in self.bounds.universe}
+            return {(a,): cnf.true_lit() for a in range(self._size)}
         if isinstance(expr, ast.Empty):
             return {}
         if isinstance(expr, ast.Union_):
@@ -159,7 +184,7 @@ class Translator:
 
     def _with_iden(self, matrix: Matrix) -> Matrix:
         out = dict(matrix)
-        for a in self.bounds.universe:
+        for a in range(self._size):
             out[(a, a)] = self.cnf.true_lit()
         return out
 
@@ -183,7 +208,7 @@ class Translator:
 
     def _closure(self, matrix: Matrix) -> Matrix:
         """Transitive closure by iterative squaring (Kodkod-style)."""
-        size = max(len(self.bounds.universe), 1)
+        size = max(self._size, 1)
         current = dict(matrix)
         steps = 1
         while steps < size:

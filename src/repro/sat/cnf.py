@@ -4,11 +4,20 @@ Variables are positive integers; a literal is a signed integer (negative for
 negation), DIMACS style.  :class:`Cnf` owns the variable counter so that
 translators (notably :mod:`repro.kodkod.translate`) can allocate fresh
 variables for Tseitin definitions without collisions.
+
+AND/OR gates are built the way Kodkod builds its boolean circuits (Torlak
+& Jackson, TACAS 2007): inputs are simplified before anything is
+allocated — constants propagate, duplicates collapse, complementary inputs
+absorb — and a gate over an input set already seen returns the existing
+output literal.  Sharing is sound because every gate emits the full
+two-way Tseitin equivalence, so its output literal *is* the gate, in any
+context.  OR is the De Morgan dual of AND (``a | b == -(-a & -b)``, with
+identical clauses), so both kinds share one table.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 TRUE_LIT_NAME = "__true__"
 
@@ -17,21 +26,25 @@ class Cnf:
     """A growable CNF formula with gate helpers.
 
     The constant-true literal is materialised lazily as a reserved variable
-    asserted by a unit clause; this keeps gate construction total even when
-    inputs degenerate to constants.
+    asserted by a unit clause; gates fold it away (and its negation, the
+    false literal) instead of wrapping it.
     """
 
     def __init__(self) -> None:
         self.num_vars = 0
         self.clauses: List[List[int]] = []
         self._true_lit: Optional[int] = None
+        #: sorted AND-input tuple -> the gate's output literal
+        self._gates: Dict[Tuple[int, ...], int] = {}
 
     def copy(self) -> "Cnf":
-        """An independent copy (same variable counter, cloned clause lists)."""
+        """An independent copy (same variable counter, cloned clause lists
+        and gate table)."""
         clone = Cnf()
         clone.num_vars = self.num_vars
         clone.clauses = [list(clause) for clause in self.clauses]
         clone._true_lit = self._true_lit
+        clone._gates = dict(self._gates)
         return clone
 
     def new_var(self) -> int:
@@ -46,11 +59,7 @@ class Cnf:
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause (iterable of non-zero literals)."""
         clause = list(lits)
-        if any(lit == 0 for lit in clause):
-            raise ValueError("literal 0 is not allowed in a clause")
-        for lit in clause:
-            if abs(lit) > self.num_vars:
-                raise ValueError(f"literal {lit} references an unallocated variable")
+        self._validate(clause)
         self.clauses.append(clause)
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
@@ -75,31 +84,49 @@ class Cnf:
     # ------------------------------------------------------------------
     # Tseitin gates: each returns a literal equivalent to the gate output
     # ------------------------------------------------------------------
-    def gate_and(self, lits: Sequence[int]) -> int:
-        """A literal equivalent to the conjunction of ``lits``."""
-        lits = list(lits)
-        if not lits:
-            return self.true_lit()
-        if len(lits) == 1:
-            return lits[0]
-        out = self.new_var()
+    def gate_and(self, lits: Iterable[int]) -> int:
+        """A literal equivalent to the conjunction of ``lits``.
+
+        True inputs and repeats are dropped; a false input, or a literal
+        together with its negation, makes the gate false; a single
+        remaining input is returned as is; an input set seen before
+        returns that gate's output.
+        """
+        true = self._true_lit
+        inputs: Dict[int, None] = {}
         for lit in lits:
-            self.add_clause([-out, lit])
-        self.add_clause([out] + [-lit for lit in lits])
+            if lit == true:
+                continue
+            if -lit in inputs or (true is not None and lit == -true):
+                return self.false_lit()
+            inputs[lit] = None
+        if not inputs:
+            return self.true_lit()
+        if len(inputs) == 1:
+            return next(iter(inputs))
+        key = tuple(sorted(inputs))
+        out = self._gates.get(key)
+        if out is None:
+            self._validate(inputs)
+            out = self.new_var()
+            clauses = self.clauses
+            for lit in inputs:
+                clauses.append([-out, lit])
+            clauses.append([out] + [-lit for lit in inputs])
+            self._gates[key] = out
         return out
 
-    def gate_or(self, lits: Sequence[int]) -> int:
-        """A literal equivalent to the disjunction of ``lits``."""
-        lits = list(lits)
-        if not lits:
-            return self.false_lit()
-        if len(lits) == 1:
-            return lits[0]
-        out = self.new_var()
+    def gate_or(self, lits: Iterable[int]) -> int:
+        """A literal equivalent to the disjunction of ``lits``: the negated
+        AND of the negated inputs, which emits the OR gate's clauses."""
+        return -self.gate_and([-lit for lit in lits])
+
+    def _validate(self, lits: Iterable[int]) -> None:
         for lit in lits:
-            self.add_clause([out, -lit])
-        self.add_clause([-out] + list(lits))
-        return out
+            if lit == 0:
+                raise ValueError("literal 0 is not allowed in a clause")
+            if abs(lit) > self.num_vars:
+                raise ValueError(f"literal {lit} references an unallocated variable")
 
     def gate_not(self, lit: int) -> int:
         """Negation is free: just flip the literal."""

@@ -35,6 +35,10 @@ History of cache-schema bumps:
   outcome set, status, certificate polarity/status/digest); search and
   solver counters, timings and details become digest-invisible
   telemetry.
+* v9 — the CNF translator folds constants and shares gates, so the same
+  problem yields a smaller CNF; certificate digests (which cover the
+  DRAT trace or witness over that CNF), and with them certified verdict
+  digests, differ from v8 entries while polarity and status agree.
 
 Every consumer module pins the version it was written against via
 :func:`assert_schema` at import time.  A schema bump that edits this
@@ -46,7 +50,7 @@ under the new salt with the old shape.
 from __future__ import annotations
 
 #: Salts every content-addressed verdict key (cache, LRU tier, wire).
-CACHE_SCHEMA_VERSION = 8
+CACHE_SCHEMA_VERSION = 9
 
 #: The JSON serialization shape of tests/results.
 FORMAT_VERSION = 1

@@ -51,7 +51,7 @@ from .protocol import (
 )
 from .store import VerdictStore
 
-assert_schema("repro.serve.service", cache=8)
+assert_schema("repro.serve.service", cache=9)
 
 
 @dataclass(frozen=True)

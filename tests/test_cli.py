@@ -196,3 +196,35 @@ class TestFuzzCommands:
         assert main(["farm", "--budget", "1", "--checkpoint", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and str(path) in err
+
+
+class TestImportBoundary:
+    """``import repro.cli`` stays lazy: every command's start-up pays for
+    it, so the cat front end, the zoo engine, the fuzzing farm and the
+    verdict service load only when a command reaches them."""
+
+    LAZY = ("repro.cat", "repro.zoo.engine", "repro.fuzz", "repro.serve")
+
+    def test_cli_import_loads_no_lazy_subsystem(self):
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('\\n'.join(sys.modules))"],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        )
+        loaded = proc.stdout.split()
+        assert "repro.cli" in loaded
+        eager = [
+            name for name in loaded
+            if any(name == lazy or name.startswith(lazy + ".")
+                   for lazy in self.LAZY)
+        ]
+        assert eager == []

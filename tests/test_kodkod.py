@@ -229,3 +229,52 @@ class TestSetVariables:
         assert instance is not None
         for a, b in instance["r"]:
             assert a in ("a", "b")
+
+
+class TestConstantFolding:
+    """Exactly-bounded tuples are constants the translator folds away."""
+
+    @staticmethod
+    def _suite_translations():
+        from repro.kodkod.finder import translate_problem
+        from repro.kodkod.litmus import UnsupportedCondition, encode_litmus
+        from repro.litmus import SUITE
+
+        for test in SUITE:
+            try:
+                goal, bounds, configure = encode_litmus(test)
+            except UnsupportedCondition:
+                continue
+            yield test.name, translate_problem(goal, bounds, configure)
+
+    def test_true_literal_only_in_its_unit_clause(self):
+        for name, translation in self._suite_translations():
+            true = translation.cnf.true_lit()
+            wrapped = [
+                clause for clause in translation.cnf.clauses
+                if len(clause) > 1 and (true in clause or -true in clause)
+            ]
+            assert wrapped == [], name
+
+    def test_suite_cnf_at_most_half_the_unfolded_size(self):
+        # 18,701 clauses over the 36 encodable suite tests when every
+        # constant tuple was wrapped in its own Tseitin gate
+        clauses = [
+            len(translation.cnf.clauses)
+            for _, translation in self._suite_translations()
+        ]
+        assert len(clauses) == 36
+        assert sum(clauses) <= 18701 // 2
+
+    def test_exact_only_problem_folds_to_a_constant(self):
+        from repro.kodkod.translate import Translator
+
+        k = ast.rel("k")
+        bounds = Bounds(U).bound_exactly(
+            "k", Relation([("a", "b"), ("b", "c")]), arity=2
+        )
+        translator = Translator(bounds)
+        true = translator.cnf.true_lit()
+        assert translator.literal(ast.Acyclic(k)) == true
+        assert translator.literal(ast.Subset(k @ k, k)) == -true
+        assert translator.cnf.num_vars == 1

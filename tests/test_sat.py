@@ -112,6 +112,106 @@ class TestCnf:
         assert solve_cnf(cnf) is None
 
 
+class TestGateFolding:
+    """Gates simplify their inputs before allocating anything."""
+
+    def test_and_drops_true_and_or_drops_false(self):
+        cnf = Cnf()
+        a, b = cnf.new_vars(2)
+        t = cnf.true_lit()
+        out = cnf.gate_and([a, t, b])
+        assert cnf.gate_or([a, -t, b]) == cnf.gate_or([a, b])
+        assert cnf.gate_and([a, b]) == out
+
+    def test_false_absorbs_and_true_absorbs_or(self):
+        cnf = Cnf()
+        a, b = cnf.new_vars(2)
+        t = cnf.true_lit()
+        size = (cnf.num_vars, len(cnf.clauses))
+        assert cnf.gate_and([a, -t, b]) == -t
+        assert cnf.gate_or([a, t, b]) == t
+        assert (cnf.num_vars, len(cnf.clauses)) == size
+
+    def test_all_constant_inputs(self):
+        cnf = Cnf()
+        t = cnf.true_lit()
+        assert cnf.gate_and([t, t]) == t
+        assert cnf.gate_or([-t, -t]) == -t
+        assert cnf.gate_and([t, -t]) == -t
+        assert cnf.gate_or([t, -t]) == t
+
+    def test_literal_with_its_negation(self):
+        cnf = Cnf()
+        a, b = cnf.new_vars(2)
+        assert cnf.gate_and([a, b, -a]) == cnf.false_lit()
+        assert cnf.gate_or([-b, a, b]) == cnf.true_lit()
+        assert len(cnf.clauses) == 1  # only the true literal's unit clause
+
+    def test_duplicates_collapse(self):
+        cnf = Cnf()
+        a, b = cnf.new_vars(2)
+        out = cnf.gate_and([a, b, a, b])
+        assert cnf.clauses == [[-out, a], [-out, b], [out, -a, -b]]
+
+    def test_single_input_left_is_returned(self):
+        cnf = Cnf()
+        a = cnf.new_var()
+        t = cnf.true_lit()
+        size = (cnf.num_vars, len(cnf.clauses))
+        assert cnf.gate_and([a, t, a]) == a
+        assert cnf.gate_or([-a, -t]) == -a
+        assert (cnf.num_vars, len(cnf.clauses)) == size
+
+    def test_same_gate_twice_is_one_variable(self):
+        cnf = Cnf()
+        a, b, c = cnf.new_vars(3)
+        out = cnf.gate_and([a, b, c])
+        size = (cnf.num_vars, len(cnf.clauses))
+        assert cnf.gate_and([c, a, b]) == out
+        assert cnf.gate_and([b, a, c, a]) == out
+        either = cnf.gate_or([a, -b])
+        assert cnf.gate_or([-b, a]) == either
+        assert (cnf.num_vars, len(cnf.clauses)) == (size[0] + 1, size[1] + 3)
+
+    def test_or_and_and_share_by_de_morgan(self):
+        cnf = Cnf()
+        a, b = cnf.new_vars(2)
+        assert cnf.gate_or([a, b]) == -cnf.gate_and([-a, -b])
+        assert cnf.num_vars == 3
+
+    def test_folded_gates_stay_equivalent(self):
+        cnf = Cnf()
+        a, b = cnf.new_vars(2)
+        t = cnf.true_lit()
+        both = cnf.gate_and([a, t, b])
+        either = cnf.gate_or([-t, a, b])
+        for va in (False, True):
+            for vb in (False, True):
+                probe = cnf.copy()
+                probe.add_clause([a if va else -a])
+                probe.add_clause([b if vb else -b])
+                model = solve_cnf(probe)
+                assert model[abs(both)] == ((va and vb) == (both > 0))
+                assert model[abs(either)] == ((va or vb) == (either > 0))
+
+    def test_copy_keeps_gate_table_independent(self):
+        cnf = Cnf()
+        a, b, c = cnf.new_vars(3)
+        shared = cnf.gate_and([a, b])
+        before = [list(clause) for clause in cnf.clauses]
+        clone = cnf.copy()
+        assert clone.gate_and([b, a]) == shared  # the table was copied
+        clone.gate_and([a, c])
+        clone.gate_or([b, c])
+        assert cnf.clauses == before
+        assert cnf.num_vars == 4  # a, b, c and the shared gate
+        # the original's table never saw the copy's gates: building one
+        # of them there allocates and emits it anew
+        cnf.gate_and([a, c])
+        assert cnf.num_vars == 5
+        assert len(cnf.clauses) == len(before) + 3
+
+
 class TestSolver:
     def test_trivially_sat(self):
         cnf = Cnf()

@@ -167,6 +167,50 @@ class TestGenericEngineAgreement:
                 skip_axioms=("warp-speed",),
             )
 
+    def test_unbound_cat_name_rejected_on_every_call(self):
+        """The model-static check is computed once but enforced on every
+        call, not only the first."""
+        from repro.zoo import zoo_outcomes
+
+        blind = ZooModel(
+            name="sc-without-po",
+            cat="sc",
+            signature=EventSignature(relations=(("rmw", "rmw"),)),
+            witnesses=WitnessSpec(co_style="total"),
+        )
+        program = BY_NAME["MP+weak"].program
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"unbound name.*'po'"):
+                zoo_outcomes(blind, program)
+
+    def test_cat_free_names_walked_once_per_model(self, monkeypatch):
+        """A second run of the same model re-walks none of its AST."""
+        from repro.cat.models import IMM_CAT, parse_cat
+        from repro.lang import ast
+        from repro.zoo import zoo_outcomes
+
+        real = ast.free_vars
+        walks = []
+
+        def counting(node):
+            walks.append(node)
+            return real(node)
+
+        monkeypatch.setattr(ast, "free_vars", counting)
+        # a freshly parsed model is walked on first use only
+        fresh = parse_cat(IMM_CAT)
+        first = fresh.free_names
+        assert walks
+        walks.clear()
+        assert fresh.free_names is first and walks == []
+        # (load_model's cache is left alone: the compiled kernel keys on
+        # the identity of the cached model's AST nodes)
+        program = BY_NAME["MP+weak"].program
+        zoo_outcomes("imm", program)
+        walks.clear()
+        zoo_outcomes("imm", program)
+        assert walks == []
+
     def test_declared_claims_hold_on_message_passing(self):
         from repro.zoo import concrete_observations, zoo_outcomes
 
