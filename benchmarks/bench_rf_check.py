@@ -38,7 +38,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.litmus.compare import VARIANTS  # noqa: E402
 from repro.litmus.generator import generate  # noqa: E402
-from repro.search.ptx_search import EnumStats, allowed_outcomes  # noqa: E402
+from repro.search.ptx_search import allowed_outcomes  # noqa: E402
+from repro.search.records import EnumStats  # noqa: E402
 from repro.search.rf_check import rf_check_outcomes  # noqa: E402
 
 #: Chain widths (threads = locations = n).  Enumerative work is ~2^n co

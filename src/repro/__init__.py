@@ -19,6 +19,10 @@ Memory Consistency Model"* (Lustig, Sahasrabuddhe, Giroux — ASPLOS 2019):
 * :mod:`repro.tso`, :mod:`repro.scmodel` — the TSO (Figure 2) and SC
   baseline models.
 
+``import repro`` is cheap: each exported name, here and in the
+subpackages, resolves on first use and loads only the modules that
+define it (:func:`_lazy_exports`).
+
 Quickstart::
 
     from repro import ptx_builder, allowed_outcomes, Scope, Sem, device_thread
@@ -32,41 +36,71 @@ Quickstart::
         print(outcome)
 """
 
-from .core import Scope, SystemShape, ThreadId, device_thread, host_thread
-from .litmus import (
-    Expect,
-    LitmusTest,
-    make_test,
-    parse_condition,
-    run_litmus,
-    run_suite,
-    summarize,
-)
-from .litmus.parser import parse_litmus
-from .litmus.suite import SUITE
-from .mapping import (
-    BUGGY_RMW_SC,
-    DESCOPED,
-    STANDARD,
-    check_mapping,
-    check_mapping_axiom,
-    compile_program,
-    lift_candidate,
-)
-from .ptx import ProgramBuilder as _PtxProgramBuilder
-from .ptx import Sem
-from .rc11 import CProgramBuilder as _CProgramBuilder
-from .rc11 import MemOrder
-from .search import allowed_outcomes, candidate_executions
-from .search.rc11_search import c_allowed_outcomes
+from __future__ import annotations
+
+import importlib
+import sys
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 __version__ = "1.0.0"
 
-#: Fluent builder for PTX litmus programs.
-ptx_builder = _PtxProgramBuilder
 
-#: Fluent builder for scoped C++ source programs.
-cpp_builder = _CProgramBuilder
+def _lazy_exports(
+    package: str, exports: Mapping[str, Sequence[str]]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's public names.
+
+    ``exports`` maps a module, relative to ``package``, to the names the
+    package re-exports from it; ``"alias=name"`` exports the module's
+    ``name`` as ``alias``.  A name's module is imported on its first
+    access, and the value is then bound in the package, so later lookups
+    never reach ``__getattr__``.  The packages a command passes through
+    all export this way, so a command loads only the modules it runs.
+    """
+    table: Dict[str, Tuple[str, str]] = {}
+    for module, names in exports.items():
+        for entry in names:
+            alias, _, name = entry.partition("=")
+            table[alias] = (module, name or alias)
+
+    def __getattr__(name: str) -> object:
+        try:
+            module, attribute = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module, package), attribute)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(table))
+
+    return __getattr__, __dir__
+
+
+#: module (relative to this package) -> the names exported from it
+_EXPORTS = {
+    ".core.scopes": (
+        "Scope", "SystemShape", "ThreadId", "device_thread", "host_thread",
+    ),
+    ".litmus.conditions": ("parse_condition",),
+    ".litmus.parser": ("parse_litmus",),
+    ".litmus.runner": ("run_litmus", "run_suite", "summarize"),
+    ".litmus.suite": ("SUITE",),
+    ".litmus.test": ("Expect", "LitmusTest", "make_test"),
+    ".mapping.checker": ("check_mapping", "check_mapping_axiom"),
+    ".mapping.compiler": ("BUGGY_RMW_SC", "DESCOPED", "STANDARD", "compile_program"),
+    ".mapping.lifting": ("lift_candidate",),
+    ".ptx.events": ("Sem",),
+    ".ptx.program": ("ptx_builder=ProgramBuilder",),
+    ".rc11.events": ("MemOrder",),
+    ".rc11.program": ("cpp_builder=CProgramBuilder",),
+    ".search.ptx_search": ("allowed_outcomes", "candidate_executions"),
+    ".search.rc11_search": ("c_allowed_outcomes",),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BUGGY_RMW_SC",

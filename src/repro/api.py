@@ -38,7 +38,7 @@ the package version and of :data:`~repro.schema.CACHE_SCHEMA_VERSION`
 from __future__ import annotations
 
 from . import __version__
-from .cert.verdict import Certificate
+from .cert.records import Certificate
 from .fuzz import (
     CoverageMap,
     FarmConfig,

@@ -28,66 +28,23 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..kodkod.finder import Instance, translate_problem
-from ..sat.solver import Solver, SolverStats
+from ..sat.records import SolverStats
+from ..sat.solver import Solver
 from .checker import CheckFailure, check_unsat_proof, check_witness
 from .drat import EXTEND, DratLogger
-
-#: certificate polarities
-UNSAT, SAT, NONE = "unsat", "sat", "none"
-
-#: certificate statuses
-VERIFIED, FAILED, SKIPPED = "verified", "failed", "skipped"
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """The independently checked evidence behind one verdict.
-
-    ``polarity`` is ``"unsat"`` (DRAT refutation), ``"sat"`` (witness
-    assignment) or ``"none"`` (nothing checkable was produced);
-    ``status`` is ``"verified"``, ``"failed"`` or ``"skipped"``.
-    ``digest`` content-addresses the trace/witness, ``steps`` counts
-    trace steps (or assigned variables for witnesses), ``clauses`` the
-    CNF clauses validated against, and ``check_time`` the seconds the
-    checker spent.
-    """
-
-    polarity: str
-    status: str
-    digest: Optional[str] = None
-    steps: int = 0
-    clauses: int = 0
-    check_time: float = 0.0
-    detail: Optional[str] = None
-
-    @property
-    def verified(self) -> bool:
-        return self.status == VERIFIED
-
-    @property
-    def failed(self) -> bool:
-        return self.status == FAILED
-
-    def format(self) -> str:
-        """A compact one-line rendering for CLI output."""
-        body = (
-            f"{self.polarity}/{self.status} steps={self.steps} "
-            f"clauses={self.clauses} check={self.check_time * 1000:.1f}ms"
-        )
-        if self.digest:
-            body += f" digest={self.digest[:12]}"
-        if self.detail:
-            body += f" ({self.detail})"
-        return body
-
-
-def skipped_certificate(reason: str) -> Certificate:
-    """A certificate recording that this verdict was not certifiable."""
-    return Certificate(polarity=NONE, status=SKIPPED, detail=reason)
+from .records import (
+    FAILED,
+    NONE,
+    SAT,
+    SKIPPED,
+    UNSAT,
+    VERIFIED,
+    Certificate,
+    skipped_certificate,
+)
 
 
 def _witness_digest(model: Dict[int, bool]) -> str:

@@ -24,6 +24,22 @@ import time
 from typing import List, Optional
 
 
+def _cache_error(session) -> Optional[str]:
+    """Why the session's result cache directory is unusable, or None.
+
+    Checked before any test runs: an unusable directory would otherwise
+    surface only at the first store, after the verdicts are computed.
+    """
+    if session.cache is None:
+        return None
+    directory = session.cache.directory
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return f"error: cache directory {directory}: {exc.strerror or exc}"
+    return None
+
+
 def _cmd_suite(args: argparse.Namespace) -> int:
     from .litmus import SUITE, Expect, RunConfig, Session, summarize
     from .registry import resolve_engine
@@ -50,6 +66,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     incomplete = 0
     uncertified = 0
     with Session(config) as session:
+        error = _cache_error(session)
+        if error is not None:
+            print(error, file=sys.stderr)
+            return 2
         for model in args.models:
             results = session.run_suite(SUITE, config.for_model(model))
             print(f"== model: {model} ==")
@@ -106,8 +126,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .litmus import RunConfig, run_litmus
     from .litmus.parser import parse_litmus
 
-    with open(args.file) as handle:
-        test = parse_litmus(handle.read())
+    try:
+        with open(args.file) as handle:
+            test = parse_litmus(handle.read())
+    except (OSError, ValueError) as exc:  # unreadable or not litmus
+        message = getattr(exc, "strerror", None) or exc
+        print(f"error: {args.file}: {message}", file=sys.stderr)
+        return 2
     try:
         config = RunConfig(
             model=args.model,
@@ -143,7 +168,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for outcome in sorted(result.outcomes, key=repr):
             print(f"  {outcome}")
     if args.explain and args.model == "ptx":
-        from .litmus.explain import explain
+        from .litmus.explanation import explain
 
         print()
         print(explain(test).render())
@@ -491,10 +516,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .litmus import RunConfig, Session, distinguishing_tests
 
-    print(
-        f"searching cycles up to length {args.max_length} for programs "
-        f"separating {args.model_a!r} from {args.model_b!r}..."
-    )
     config = RunConfig(
         timeout=args.timeout,
         jobs=args.jobs,
@@ -505,6 +526,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     found = 0
     with Session(config) as session:
+        error = _cache_error(session)
+        if error is not None:
+            print(error, file=sys.stderr)
+            return 2
+        print(
+            f"searching cycles up to length {args.max_length} for programs "
+            f"separating {args.model_a!r} from {args.model_b!r}..."
+        )
         for distinction in distinguishing_tests(
             args.model_a, args.model_b,
             max_length=args.max_length, limit=args.limit,

@@ -1,19 +1,17 @@
 """Shared substrate: scope trees, executions, and common vocabulary."""
 
-from .execution import Execution, program_order, same_location
-from .scopes import (
-    Scope,
-    ScopeInstance,
-    SystemShape,
-    ThreadId,
-    device_thread,
-    distinct_cta_threads,
-    host_thread,
-    mutually_inclusive,
-    same_cta_threads,
-    scope_includes,
-    scope_instance,
-)
+from .. import _lazy_exports
+
+#: module (relative to this package) -> the names exported from it
+_EXPORTS = {
+    ".execution": ("Execution", "program_order", "same_location"),
+    ".scopes": (
+        "Scope", "ScopeInstance", "SystemShape", "ThreadId", "device_thread",
+        "distinct_cta_threads", "host_thread", "mutually_inclusive",
+        "same_cta_threads", "scope_includes", "scope_instance",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Execution",

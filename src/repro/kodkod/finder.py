@@ -12,7 +12,7 @@ clauses, variable activities and saved phases persist across the whole
 enumeration, and the caller's :class:`~repro.kodkod.translate.Translation`
 stays pristine and re-enumerable.
 
-Every SAT call records a :class:`~repro.sat.solver.SolverStats` snapshot on
+Every SAT call records a :class:`~repro.sat.records.SolverStats` snapshot on
 the translation (and into the optional ``stats`` collector), so callers can
 observe decisions/conflicts/learned-clause reuse per query.
 """
@@ -24,7 +24,8 @@ from typing import Dict, Iterator, List, Optional
 
 from ..lang import ast
 from ..relation import Relation
-from ..sat.solver import Solver, SolverStats, enumerate_models
+from ..sat.records import SolverStats
+from ..sat.solver import Solver, enumerate_models
 from .bounds import Bounds
 from .translate import Translation, Translator
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..sat.solver import SolverStats
+from ..sat.records import SolverStats
 
 from ..core.execution import Execution, program_order
 from ..lang import ast
@@ -327,7 +327,7 @@ def symbolic_outcomes(
 
     Enumerates every axiom-consistent ``rf``/``co``/``sc`` instance
     (:func:`symbolic_consistent_instances`) and decodes each to the same
-    :class:`~repro.search.ptx_search.Outcome` the enumerative engine
+    :class:`~repro.search.records.Outcome` the enumerative engine
     reports — registers from ``rf`` plus static write values, memory from
     coherence-maximal writes.  This is the cross-engine oracle's strong
     comparison: two engines can agree on a verdict while disagreeing on
@@ -349,7 +349,8 @@ def symbolic_outcomes(
     data-dependent (the instance alone cannot determine it).
     """
     from ..lang import eval_expr
-    from ..search.ptx_search import Outcome, co_maximal_memory, register_sort_key
+    from ..search.ptx_search import co_maximal_memory
+    from ..search.records import Outcome, register_sort_key
 
     program = test.program
     elab = elaborate(program)

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..lang import ast
 from ..sat.cnf import Cnf
-from ..sat.solver import SolverStats
+from ..sat.records import SolverStats
 from .bounds import Bounds
 
 #: A sparse boolean matrix: tuple of universe positions -> SAT literal

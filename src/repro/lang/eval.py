@@ -68,7 +68,7 @@ class Env:
 
     ``stats``, when set, receives ``hit()``/``miss()`` callbacks from
     :func:`eval_expr` (the engines pass their
-    :class:`~repro.search.ptx_search.EnumStats`); binds share the same
+    :class:`~repro.search.records.EnumStats`); binds share the same
     stats object.
     """
 

@@ -1,40 +1,34 @@
 """Litmus tests: structure, conditions, standard suite, and runner."""
 
-from .conditions import (
-    AndC,
-    Condition,
-    ConditionSyntaxError,
-    MemEq,
-    NotC,
-    OrC,
-    RegEq,
-    TrueC,
-    parse_condition,
-)
-from .compare import (
-    VARIANTS,
-    Distinction,
-    compare_on,
-    distinguishing_tests,
-    first_distinction,
-)
-from .explain import Explanation, explain
-from .generator import (
-    EDGE_NAMES,
-    CycleError,
-    GeneratedTest,
-    classify,
-    enumerate_cycles,
-    generate,
-    parse_cycle,
-)
-from ..cert import Certificate
-from .cache import CacheStats, ResultCache, cache_key, default_cache_dir
-from .config import RunConfig
-from .runner import MODELS, LitmusResult, decide, run_litmus, run_suite, summarize
-from .session import Session, SessionStats
-from .suite import BY_NAME, PAPER_TESTS, SUITE, build_suite, tests_for_figures
-from .test import Expect, LitmusTest, make_test
+from .. import _lazy_exports
+
+#: module (relative to this package) -> the names exported from it
+_EXPORTS = {
+    "..cert.records": ("Certificate",),
+    ".cache": ("CacheStats", "ResultCache", "cache_key", "default_cache_dir"),
+    ".compare": (
+        "VARIANTS", "Distinction", "compare_on", "distinguishing_tests",
+        "first_distinction",
+    ),
+    ".conditions": (
+        "AndC", "Condition", "ConditionSyntaxError", "MemEq", "NotC", "OrC",
+        "RegEq", "TrueC", "parse_condition",
+    ),
+    ".config": ("RunConfig",),
+    ".explanation": ("Explanation", "explain"),
+    ".generator": (
+        "EDGE_NAMES", "CycleError", "GeneratedTest", "classify",
+        "enumerate_cycles", "generate", "parse_cycle",
+    ),
+    ".runner": (
+        "MODELS", "LitmusResult", "decide", "run_litmus", "run_suite",
+        "summarize",
+    ),
+    ".session": ("Session", "SessionStats"),
+    ".suite": ("BY_NAME", "PAPER_TESTS", "SUITE", "build_suite", "tests_for_figures"),
+    ".test": ("Expect", "LitmusTest", "make_test"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AndC",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.scopes import ThreadId
-from ..search.ptx_search import Outcome
+from ..search.records import Outcome
 
 
 class Condition:

@@ -29,7 +29,7 @@ from typing import (
     Tuple,
 )
 
-from ..cert.verdict import Certificate, skipped_certificate
+from ..cert.records import Certificate, skipped_certificate
 from ..core.deadline import TimeoutExceeded, deadline
 from ..registry import (
     MODELS,
@@ -37,8 +37,8 @@ from ..registry import (
     resolve_engine,
     resolve_model,
 )
-from ..sat.solver import SolverStats
-from ..search.ptx_search import EnumStats, Outcome
+from ..sat.records import SolverStats
+from ..search.records import EnumStats, Outcome
 from .config import RunConfig
 from .test import Expect, LitmusTest
 

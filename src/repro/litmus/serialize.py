@@ -20,14 +20,14 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from ..cert.verdict import Certificate
+from ..cert.records import Certificate
 from ..core.scopes import Scope, SystemShape, ThreadId
 from ..ptx.events import Sem
 from ..ptx.isa import Atom, AtomOp, Bar, BarOp, Fence, Instruction, Ld, Red, St
 from ..ptx.program import Program, ThreadCode
-from ..sat.solver import SolverStats
+from ..sat.records import SolverStats
 from ..schema import FORMAT_VERSION, assert_schema
-from ..search.ptx_search import EnumStats, Outcome
+from ..search.records import EnumStats, Outcome
 from .conditions import AndC, Condition, MemEq, NotC, OrC, RegEq, TrueC
 
 # FORMAT_VERSION lives in repro.schema (one place, re-exported here);

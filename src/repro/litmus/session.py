@@ -31,9 +31,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..sat.solver import SolverStats
+from ..sat.records import SolverStats
 from ..schema import assert_schema
-from ..search.ptx_search import EnumStats
+from ..search.records import EnumStats
 from .cache import ResultCache, cache_key, default_cache_dir
 from .config import RunConfig
 from .runner import (

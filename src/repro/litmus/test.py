@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from ..ptx.program import Program
-from ..search.ptx_search import Outcome
+from ..search.records import Outcome
 from .conditions import Condition, parse_condition
 
 

@@ -16,7 +16,7 @@ x86-TSO equivalence proof the paper cites [44].
 
 Both machines exhaustively enumerate reachable final states (DFS over the
 nondeterminism with state memoisation), producing the same
-:class:`~repro.search.ptx_search.Outcome` values the axiomatic searches
+:class:`~repro.search.records.Outcome` values the axiomatic searches
 report, so the two sides compare directly.
 
 Scope: the machines execute the PTX instruction surface that the baseline
@@ -34,7 +34,7 @@ from ..core.deadline import check_deadline
 from ..core.scopes import ThreadId
 from ..ptx.isa import Atom, Bar, Fence, Ld, Red, St
 from ..ptx.program import Program
-from ..search.ptx_search import Outcome, register_sort_key
+from ..search.records import Outcome, register_sort_key
 
 
 class UnsupportedInstruction(ValueError):

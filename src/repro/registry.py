@@ -265,7 +265,7 @@ def _kernel_opts(config, opts):
 
 def _run_enumerative(test, config, opts):
     """Explicit candidate-execution enumeration, any model."""
-    from .search.ptx_search import EnumStats
+    from .search.records import EnumStats
 
     spec = resolve_model(config.model)
     opts = _kernel_opts(config, opts)
@@ -316,7 +316,7 @@ def _run_symbolic_enum(test, config, opts):
     fallback).
     """
     from .kodkod.litmus import UnsupportedProgram, symbolic_outcomes
-    from .sat.solver import SolverStats
+    from .sat.records import SolverStats
 
     if not opts:
         stats: list = []
@@ -337,7 +337,7 @@ def _run_symbolic_enum(test, config, opts):
 
 def _run_rf_check(test, config, opts):
     """Reads-from enumeration decided by coherence saturation."""
-    from .search.ptx_search import EnumStats
+    from .search.records import EnumStats
     from .search.rf_check import rf_check_outcomes
 
     enum_stats = EnumStats()

@@ -1,9 +1,15 @@
 """Finite relational algebra: the substrate under every axiomatic model."""
 
-from .bitrel import BitRel, BitSet, Universe
-from .fixpoint import least_fixpoint, recursive_union
-from .incremental import IncrementalClosure
-from .relation import Relation, acyclic, iden_over, irreflexive
+from .. import _lazy_exports
+
+#: module (relative to this package) -> the names exported from it
+_EXPORTS = {
+    ".bitrel": ("BitRel", "BitSet", "Universe"),
+    ".fixpoint": ("least_fixpoint", "recursive_union"),
+    ".incremental": ("IncrementalClosure",),
+    ".relation": ("Relation", "acyclic", "iden_over", "irreflexive"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BitRel",

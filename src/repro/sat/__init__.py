@@ -1,16 +1,18 @@
 """A from-scratch incremental CDCL SAT solver: the backend of the relational model finder."""
 
-from .cnf import Cnf
-from .dimacs import read_dimacs, write_dimacs, write_dimacs_clauses
-from .solver import (
-    Clause,
-    Solver,
-    SolverStats,
-    Unsatisfiable,
-    enumerate_models,
-    luby,
-    solve_cnf,
-)
+from .. import _lazy_exports
+
+#: module (relative to this package) -> the names exported from it
+_EXPORTS = {
+    ".cnf": ("Cnf",),
+    ".dimacs": ("read_dimacs", "write_dimacs", "write_dimacs_clauses"),
+    ".records": ("SolverStats",),
+    ".solver": (
+        "Clause", "Solver", "Unsatisfiable", "enumerate_models", "luby",
+        "solve_cnf",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Clause",

@@ -25,7 +25,7 @@ from ..rc11.program import (
     write_node,
 )
 from .posets import total_orders_with_first
-from .ptx_search import register_sort_key
+from .records import register_sort_key
 from .values import valuations
 
 

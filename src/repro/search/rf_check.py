@@ -44,7 +44,7 @@ rf prune and the forbidden-edge derivations — fall back to the
 enumerative engine, as does any unexpected internal failure, so the
 engine is *sound by construction*: every answer is either certified by
 the axiom evaluations or produced by the reference engine.  Fallbacks
-are counted in :class:`~.ptx_search.EnumStats`.
+are counted in :class:`~.records.EnumStats`.
 """
 
 from __future__ import annotations
@@ -65,12 +65,11 @@ from .ptx_search import (
     _CO_DEPENDENT,
     _CO_NAMES,
     RF_CAUSALITY,
-    EnumStats,
-    Outcome,
     allowed_outcomes,
     register_assignment,
     static_ptx_env,
 )
+from .records import EnumStats, Outcome
 from .values import valuations
 
 logger = logging.getLogger("repro.search.rf_check")

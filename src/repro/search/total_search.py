@@ -23,7 +23,8 @@ from ..ptx.events import Event, init_write
 from ..ptx.program import Program, elaborate
 from ..relation import Relation
 from .posets import total_orders_with_first
-from .ptx_search import Candidate, Outcome
+from .ptx_search import Candidate
+from .records import Outcome
 from .values import valuations
 
 

@@ -15,6 +15,7 @@ load lazily on first attribute access so ``import repro.registry`` does
 not pay for the search machinery.
 """
 
+from .. import _lazy_exports
 from .model import Claim, EventSignature, WitnessSpec, ZooModel
 from .models import (
     ZOO,
@@ -24,18 +25,15 @@ from .models import (
     zoo_names,
 )
 
-#: lazily loaded from :mod:`.engine` / :mod:`.matrix` (PEP 562)
-_LAZY = {
-    "BUILDERS": "engine",
-    "PREDICATES": "engine",
-    "concrete_observations": "engine",
-    "zoo_candidates": "engine",
-    "zoo_outcomes": "engine",
-    "ModelMatrix": "matrix",
-    "MatrixCell": "matrix",
-    "build_matrix": "matrix",
-    "matrix_corpus": "matrix",
+#: loaded from :mod:`.engine` / :mod:`.matrix` on first access
+_EXPORTS = {
+    ".engine": (
+        "BUILDERS", "PREDICATES", "concrete_observations", "zoo_candidates",
+        "zoo_outcomes",
+    ),
+    ".matrix": ("ModelMatrix", "MatrixCell", "build_matrix", "matrix_corpus"),
 }
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Claim",
@@ -47,17 +45,5 @@ __all__ = [
     "containment_claims",
     "resolve_zoo",
     "zoo_names",
-    *sorted(_LAZY),
+    *sorted(name for names in _EXPORTS.values() for name in names),
 ]
-
-
-def __getattr__(name):
-    try:
-        module_name = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    from importlib import import_module
-
-    return getattr(import_module(f".{module_name}", __name__), name)

@@ -65,12 +65,8 @@ from ..search.posets import (
     oriented_orders_incremental,
     total_orders_with_first,
 )
-from ..search.ptx_search import (
-    EnumStats,
-    Outcome,
-    co_maximal_memory,
-    register_assignment,
-)
+from ..search.ptx_search import co_maximal_memory, register_assignment
+from ..search.records import EnumStats, Outcome
 from ..search.values import valuations
 from .model import ZooModel
 from .models import resolve_zoo

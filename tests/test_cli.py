@@ -91,6 +91,61 @@ class TestRunCommand:
         assert "sat" in out and "conflicts" in out  # SolverStats.format()
 
 
+class TestRunErrors:
+    """Unreadable or malformed input to ``run`` prints
+    ``error: <file>: <message>`` and exits 2, with no traceback."""
+
+    def _error(self, capsys, path) -> str:
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: {path}: ")
+        return captured.err
+
+    def test_missing_file(self, tmp_path, capsys):
+        err = self._error(capsys, tmp_path / "missing.litmus")
+        assert "No such file or directory" in err
+
+    def test_directory(self, tmp_path, capsys):
+        err = self._error(capsys, tmp_path)
+        assert "Is a directory" in err
+
+    def test_malformed_text(self, tmp_path, capsys):
+        path = tmp_path / "notes.litmus"
+        path.write_text("this is not a litmus test\n")
+        err = self._error(capsys, path)
+        assert "this is not a litmus test" in err
+
+
+class TestUnusableCacheDir:
+    """A ``--cache-dir`` that cannot be a directory fails before any test
+    runs, with exit 2 (exit 1 means a verdict mismatch)."""
+
+    @pytest.fixture(params=["under-a-file", "is-a-file"])
+    def bad_dir(self, request, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        return str(blocker / "x" if request.param == "under-a-file" else blocker)
+
+    def test_suite(self, bad_dir, capsys):
+        assert main(["suite", "--cache-dir", bad_dir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cache directory {bad_dir}: ")
+
+    def test_compare(self, bad_dir, capsys):
+        assert main(["compare", "tso", "sc", "--cache-dir", bad_dir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cache directory {bad_dir}: ")
+
+    def test_no_cache_ignores_the_directory(self, bad_dir, capsys):
+        assert main(
+            ["suite", "--models", "sc", "--no-cache", "--cache-dir", bad_dir]
+        ) == 0
+
+
 class TestSuiteCommand:
     def test_runs_clean(self, capsys):
         assert main(["suite"]) == 0
@@ -198,33 +253,57 @@ class TestFuzzCommands:
         assert "error:" in err and str(path) in err
 
 
-class TestImportBoundary:
-    """``import repro.cli`` stays lazy: every command's start-up pays for
-    it, so the cat front end, the zoo engine, the fuzzing farm and the
-    verdict service load only when a command reaches them."""
+def _loaded_after(code: str):
+    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    from tests.test_lazy_exports import run_python
 
-    LAZY = ("repro.cat", "repro.zoo.engine", "repro.fuzz", "repro.serve")
+    out = run_python(f"import sys\n{code}\nprint('MODULES', *sorted(sys.modules))")
+    modules = out.rsplit("MODULES", 1)[1].split()
+    return [m for m in modules if m == "repro" or m.startswith("repro.")]
+
+
+def _matching(loaded, prefixes):
+    return [
+        name for name in loaded
+        if any(name == prefix or name.startswith(prefix + ".")
+               for prefix in prefixes)
+    ]
+
+
+class TestImportBoundary:
+    """Each command imports only the modules it runs: every command's
+    start-up pays for what it imports, so the engines, the cat front end,
+    the fuzzing farm and the verdict service load only when a command
+    reaches them."""
 
     def test_cli_import_loads_no_lazy_subsystem(self):
-        import os
-        import subprocess
-        import sys
+        # every package export is lazy, so no subsystem loads at all
+        assert _loaded_after("import repro.cli") == ["repro", "repro.cli"]
 
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    def test_run_loads_no_unused_engine(self, tmp_path):
+        path = tmp_path / "mp.litmus"
+        path.write_text(MP_FILE)
+        loaded = _loaded_after(
+            "from repro.cli import main\n"
+            f"assert main(['run', {str(path)!r}]) == 0"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, repro.cli; print('\\n'.join(sys.modules))"],
-            capture_output=True, text=True, env=env, check=True, timeout=60,
+        assert "repro.search.ptx_search" in loaded
+        assert _matching(loaded, (
+            "repro.cert.verdict", "repro.kodkod", "repro.sat.solver",
+            "repro.mapping", "repro.rc11", "repro.search.rc11_search",
+            "repro.litmus.compare", "repro.litmus.explanation",
+            "repro.litmus.generator", "repro.lang.export",
+            "repro.cat", "repro.zoo.engine", "repro.fuzz", "repro.serve",
+        )) == []
+
+    def test_warm_suite_loads_no_engine(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        assert main(["suite", "--cache-dir", cache]) == 0
+        loaded = _loaded_after(
+            "from repro.cli import main\n"
+            f"assert main(['suite', '--cache-dir', {cache!r}]) == 0"
         )
-        loaded = proc.stdout.split()
-        assert "repro.cli" in loaded
-        eager = [
-            name for name in loaded
-            if any(name == lazy or name.startswith(lazy + ".")
-                   for lazy in self.LAZY)
-        ]
-        assert eager == []
+        assert "repro.litmus.cache" in loaded
+        assert _matching(
+            loaded, ("repro.search.ptx_search", "repro.lang")
+        ) == []

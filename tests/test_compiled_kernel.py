@@ -31,7 +31,8 @@ from repro.litmus.runner import partition_opts
 from repro.litmus.serialize import verdict_digest
 from repro.relation import BitRel, Universe
 from repro.search.posets import oriented_orders, oriented_orders_incremental
-from repro.search.ptx_search import EnumStats, allowed_outcomes
+from repro.search.ptx_search import allowed_outcomes
+from repro.search.records import EnumStats
 
 pytestmark = pytest.mark.slow
 

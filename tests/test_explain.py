@@ -5,7 +5,7 @@ import pytest
 from repro.lang import Env, ast
 from repro.lang.diagnose import formula_witness
 from repro.litmus import BY_NAME, Expect
-from repro.litmus.explain import explain
+from repro.litmus.explanation import explain
 from repro.relation import Relation
 
 r = ast.rel("r")

@@ -13,7 +13,7 @@ from repro.litmus import (
     TrueC,
     parse_condition,
 )
-from repro.search.ptx_search import Outcome
+from repro.search.records import Outcome
 
 T0 = device_thread(0, 0, 0)
 T1 = device_thread(0, 1, 0)

@@ -14,7 +14,7 @@ from repro.litmus.serialize import (
     verdict_digest,
 )
 from repro.sat import SolverStats
-from repro.search.ptx_search import EnumStats
+from repro.search.records import EnumStats
 from repro.litmus.serialize import test_from_dict as load_test
 from repro.litmus.serialize import test_to_dict as dump_test
 
@@ -182,7 +182,7 @@ class TestVerdictDigest:
 
     @staticmethod
     def _certified(result, **changes):
-        from repro.cert.verdict import Certificate
+        from repro.cert.records import Certificate
 
         fields = dict(polarity="unsat", status="verified", digest="ab12",
                       steps=40, clauses=90, check_time=0.25, detail=None)

@@ -21,7 +21,8 @@ from repro.litmus import BY_NAME, SUITE, RunConfig, run_litmus
 from repro.litmus.compare import VARIANTS
 from repro.litmus.generator import generate
 from repro.litmus.runner import partition_opts
-from repro.search.ptx_search import EnumStats, allowed_outcomes
+from repro.search.ptx_search import allowed_outcomes
+from repro.search.records import EnumStats
 from repro.search.rf_check import rf_check_outcomes
 
 #: Geometry-skewed quick subset: the coherence pair exercises forced-co
