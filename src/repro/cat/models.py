@@ -31,12 +31,12 @@ let cause = cause_base | (obs ; (cause_base | po_loc))
 let fr = rf^-1 ; co
 let com = rf | co | fr
 
-empty ((([W] ; cause ; [W]) & sloc) \\ co) as coherence
-irreflexive sc ; cause as fence_sc
-empty ((morally_strong & fr) ; (morally_strong & co)) & rmw as atomicity
-acyclic rf | dep as no_thin_air
-acyclic (morally_strong & com) | po_loc as sc_per_location
-irreflexive (rf | fr) ; cause as causality
+empty ((([W] ; cause ; [W]) & sloc) \\ co) as Coherence
+irreflexive sc ; cause as FenceSC
+empty ((morally_strong & fr) ; (morally_strong & co)) & rmw as Atomicity
+acyclic rf | dep as No-Thin-Air
+acyclic (morally_strong & com) | po_loc as SC-per-Location
+irreflexive (rf | fr) ; cause as Causality
 """
 
 TSO_CAT = """

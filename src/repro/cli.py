@@ -122,16 +122,26 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return status
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from .litmus import RunConfig, run_litmus
+def _load_litmus(path: str):
+    """The litmus test in ``path``, or None after printing
+    ``error: <file>: <message>`` for a missing, unreadable or malformed
+    file (the caller exits 2)."""
     from .litmus.parser import parse_litmus
 
     try:
-        with open(args.file) as handle:
-            test = parse_litmus(handle.read())
+        with open(path) as handle:
+            return parse_litmus(handle.read())
     except (OSError, ValueError) as exc:  # unreadable or not litmus
         message = getattr(exc, "strerror", None) or exc
-        print(f"error: {args.file}: {message}", file=sys.stderr)
+        print(f"error: {path}: {message}", file=sys.stderr)
+        return None
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from .litmus import RunConfig, run_litmus
+
+    test = _load_litmus(args.file)
+    if test is None:
         return 2
     try:
         config = RunConfig(
@@ -312,12 +322,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.recheck is not None:
         from .fuzz import recheck_artifact
 
+        if _load_litmus(args.recheck) is None:
+            return 2
         try:
             verdict, reshrunk = recheck_artifact(
                 args.recheck, perturb=args.perturb, timeout=args.timeout,
                 kernel=args.kernel,
             )
-        except (OSError, ValueError) as exc:  # unreadable or not litmus
+        except (OSError, ValueError) as exc:  # e.g. an unknown --perturb
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if verdict.clean:

@@ -13,7 +13,7 @@ all reuse it with their own event types and relation vocabularies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..lang import Env
 from ..relation import Relation
@@ -73,16 +73,21 @@ def program_order(threads: Sequence[Sequence]) -> Relation:
     return Relation(pairs)
 
 
-def same_location(events: Iterable) -> Relation:
-    """All pairs of memory events accessing the same (non-None) location."""
-    by_loc: Dict = {}
+def by_location(events: Iterable) -> Dict[str, List]:
+    """Events grouped by their (non-None) location, in input order."""
+    groups: Dict[str, List] = {}
     for event in events:
         loc = getattr(event, "loc", None)
         if loc is not None:
-            by_loc.setdefault(loc, []).append(event)
+            groups.setdefault(loc, []).append(event)
+    return groups
+
+
+def same_location(events: Iterable) -> Relation:
+    """All pairs of memory events accessing the same (non-None) location."""
     return Relation(
         (a, b)
-        for group in by_loc.values()
+        for group in by_location(events).values()
         for a in group
         for b in group
         if a != b

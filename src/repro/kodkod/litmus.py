@@ -29,15 +29,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sat.records import SolverStats
 
-from ..core.execution import Execution, program_order
 from ..lang import ast
 from ..litmus.conditions import AndC, Condition, MemEq, NotC, OrC, RegEq, TrueC
 from ..litmus.test import LitmusTest
 from ..ptx import spec as ptx_spec
-from ..ptx.events import Event, Sem, init_write
+from ..ptx.events import Event, Sem
 from ..ptx.isa import AtomOp
-from ..ptx.model import build_env
-from ..ptx.program import elaborate
+from ..ptx.model import build_env, static_execution
 from ..relation import Relation
 from .bounds import Bounds, Universe
 from .finder import Instance, instances, solve
@@ -184,25 +182,9 @@ def encode_litmus(test: LitmusTest, include_condition: bool = True):
     so the certificate layer can translate the same problem and hand the
     resulting CNF/bounds to the independent checker.
     """
-    program = test.program
-    elab = elaborate(program)
-    init_events = tuple(
-        init_write(eid=len(elab.events) + index, loc=loc)
-        for index, loc in enumerate(program.locations)
-    )
-    events: Tuple[Event, ...] = elab.events + init_events
-    po = program_order(elab.by_thread)
-
+    elab, init_events, static = static_execution(test.program)
+    events = static.events
     # Reuse the concrete env builder for all the constant relations/sets.
-    static = Execution(
-        events=events,
-        relations={
-            "po": po,
-            "rmw": elab.rmw,
-            "dep": elab.dep,
-            "syncbarrier": elab.syncbarrier,
-        },
-    )
     env = build_env(static)
 
     universe = Universe(tuple(events))
@@ -349,16 +331,11 @@ def symbolic_outcomes(
     data-dependent (the instance alone cannot determine it).
     """
     from ..lang import eval_expr
-    from ..search.ptx_search import co_maximal_memory
+    from ..search.staged import co_maximal_memory
     from ..search.records import Outcome, register_sort_key
 
-    program = test.program
-    elab = elaborate(program)
-    init_events = tuple(
-        init_write(eid=len(elab.events) + index, loc=loc)
-        for index, loc in enumerate(program.locations)
-    )
-    events: Tuple[Event, ...] = elab.events + init_events
+    elab, init_events, static = static_execution(test.program)
+    events = static.events
     values = static_write_values(elab)
 
     def value_of(event: Event) -> int:
@@ -375,15 +352,6 @@ def symbolic_outcomes(
     for write in writes:
         value_of(write)  # fail fast, before any SAT work
 
-    static = Execution(
-        events=events,
-        relations={
-            "po": program_order(elab.by_thread),
-            "rmw": elab.rmw,
-            "dep": elab.dep,
-            "syncbarrier": elab.syncbarrier,
-        },
-    )
     # decode over bitsets: one cause evaluation per instance is
     # the oracle path's hot spot, and the retained memo carries the
     # rf/sc-independent subexpressions across instances

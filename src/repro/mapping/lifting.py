@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..core.execution import Execution, program_order
+from ..core.execution import Execution, by_location, program_order
 from ..ptx.events import is_init as ptx_is_init
 from ..ptx.program import elaborate
 from ..rc11.events import CEvent, c_init_write
@@ -49,10 +49,7 @@ class Lift:
 
     def executions(self) -> Iterator[Execution]:
         """Yield one RC11 execution per ``mo`` linear extension."""
-        writes_by_loc: Dict[str, List[CEvent]] = {}
-        for event in self.events:
-            if event.is_write:
-                writes_by_loc.setdefault(event.loc, []).append(event)
+        writes_by_loc = by_location(e for e in self.events if e.is_write)
         per_loc: List[List[Relation]] = []
         for loc, writes in sorted(writes_by_loc.items()):
             extensions = []

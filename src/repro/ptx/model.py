@@ -13,12 +13,37 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.execution import Execution, same_location
+from ..core.execution import Execution, program_order, same_location
 from ..core.scopes import mutually_inclusive
 from ..lang import Env, eval_expr, eval_formula, relation_env
 from ..relation import Relation
 from . import spec
-from .events import Event, Sem, is_init
+from .events import Event, Sem, init_write, is_init
+from .program import Elaboration, Program, elaborate
+
+
+def static_execution(
+    program: Program,
+) -> Tuple[Elaboration, Tuple[Event, ...], Execution]:
+    """A program's candidate-execution skeleton, witnesses empty.
+
+    Elaborates ``program`` and appends one init write per location (eids
+    after the program's events).  Returns ``(elaboration, init events,
+    execution)``; the execution binds ``po``, ``rmw``, ``dep`` and
+    ``syncbarrier``, with ``rf``, ``co`` and ``sc`` empty.
+    """
+    elab = elaborate(program)
+    init_events = tuple(
+        init_write(eid=len(elab.events) + index, loc=loc)
+        for index, loc in enumerate(program.locations)
+    )
+    empty = Relation.empty(2)
+    execution = Execution(events=elab.events + init_events, relations={
+        "po": program_order(elab.by_thread), "rf": empty, "co": empty,
+        "sc": empty, "rmw": elab.rmw, "dep": elab.dep,
+        "syncbarrier": elab.syncbarrier,
+    })
+    return elab, init_events, execution
 
 
 def moral_strength(events: Tuple[Event, ...], po: Relation) -> Relation:

@@ -17,8 +17,10 @@ transitively closed, keeping the irreflexive (acyclic) results.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import FrozenSet, Iterable, Iterator, List, Tuple
+import operator
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from ..relation import BitRel, IncrementalClosure, Relation
 
@@ -127,3 +129,20 @@ def total_orders_with_first(first, rest: Iterable) -> Iterator[Relation]:
     rest = list(rest)
     for perm in itertools.permutations(rest):
         yield Relation.total_order([first, *perm])
+
+
+def total_coherence_orders(
+    init_events: Iterable, writes_by_loc: Dict[str, Sequence]
+) -> Iterator[Relation]:
+    """Every coherence witness of a total-co model: per location (in name
+    order), a total order of its writes with the init write first, all
+    unioned into one relation (TSO/SC ``co``, RC11 ``mo``)."""
+    init_of = {init.loc: init for init in init_events}
+    per_loc = [
+        list(total_orders_with_first(
+            init_of[loc], [w for w in writes if w is not init_of[loc]]
+        ))
+        for loc, writes in sorted(writes_by_loc.items())
+    ]
+    for combo in itertools.product(*per_loc):
+        yield functools.reduce(operator.or_, combo, Relation.empty(2))

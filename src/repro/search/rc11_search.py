@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, Mapping, Sequence, Tuple
 
-from ..core.execution import Execution, program_order
+from ..core.execution import Execution, by_location, program_order
 from ..core.scopes import ThreadId
 from ..relation import Relation
 from ..rc11.events import CEvent, c_init_write
@@ -24,7 +24,7 @@ from ..rc11.program import (
     read_node,
     write_node,
 )
-from .posets import total_orders_with_first
+from .posets import total_coherence_orders
 from .records import register_sort_key
 from .values import valuations
 
@@ -107,28 +107,13 @@ def c_candidate_executions(
     base_values = {write_node(event): 0 for event in init_events}
 
     reads = [e for e in elab.events if e.is_read]
-    writes_by_loc: Dict[str, List[CEvent]] = {}
-    for event in events:
-        if event.is_write:
-            writes_by_loc.setdefault(event.loc, []).append(event)
-    init_by_loc = {event.loc: event for event in init_events}
-
+    writes_by_loc = by_location(e for e in events if e.is_write)
     static = Execution(
         events=events,
         relations={"sb": sb, "rf": Relation.empty(2), "mo": Relation.empty(2)},
     )
 
-    def mo_choices() -> Iterator[Relation]:
-        per_loc = []
-        for loc, writes in sorted(writes_by_loc.items()):
-            init = init_by_loc[loc]
-            others = [w for w in writes if w is not init]
-            per_loc.append(list(total_orders_with_first(init, others)))
-        for combo in itertools.product(*per_loc):
-            merged = Relation.empty(2)
-            for order in combo:
-                merged = merged | order
-            yield merged
+    mo_choices = list(total_coherence_orders(init_events, writes_by_loc))
 
     rf_choices = [
         [w for w in writes_by_loc[read.loc] if w is not read]
@@ -143,7 +128,7 @@ def c_candidate_executions(
             (write, read) for read, write in zip(reads, rf_assignment)
         )
         for valuation in valuations(elab, rf_source, base_values, speculation_values):
-            for mo_rel in mo_choices():
+            for mo_rel in mo_choices:
                 execution = static.with_relations(rf=rf_rel, mo=mo_rel)
                 report = check_execution(execution, with_thin_air=with_thin_air)
                 if report.consistent or include_inconsistent:

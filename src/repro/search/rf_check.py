@@ -32,6 +32,11 @@ constraints:
    the co-dependent axioms themselves, so the forbidden-edge analysis
    only ever *prunes*; it is never trusted for a positive verdict.
 
+Everything before the co stage — the events, the static environment
+(the enumerative engine's compiled instance), the sc orders, the
+init-forced edges and the doomed rf pairs — comes from the shared
+staging (:class:`~.staged.Staging`); only the co stage is this module's.
+
 Coherence (Axiom 1) needs no per-candidate check at all: its left-hand
 side is exactly the causality-forced same-location write pairs, which
 are seeded into every candidate's forced set — the axiom holds by
@@ -54,35 +59,28 @@ import logging
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.deadline import TimeoutExceeded, check_deadline
-from ..core.execution import Execution, program_order
 from ..ptx import spec
-from ..ptx.events import Event, Sem, init_write
-from ..ptx.program import Program, elaborate
+from ..ptx.events import Event
+from ..ptx.program import Program
 from ..registry import DEFAULT_KERNEL
-from ..relation import Relation
-from .posets import oriented_orders
-from .ptx_search import (
-    _CO_DEPENDENT,
-    _CO_NAMES,
-    RF_CAUSALITY,
-    allowed_outcomes,
-    register_assignment,
-    static_ptx_env,
-)
+from .ptx_search import PTX_STAGED, RF_CAUSALITY, allowed_outcomes
 from .records import EnumStats, Outcome
+from .staged import Staging, register_assignment
 from .values import valuations
 
 logger = logging.getLogger("repro.search.rf_check")
+
+_CO_NAMES: FrozenSet[str] = frozenset(("co",))
 
 #: co-dependent axioms that still need a per-candidate evaluation once a
 #: location's coherence order is chosen.  Coherence is excluded: its
 #: required edges are seeded into the forced set, so it holds by
 #: construction (see module docstring).
-_PER_CANDIDATE: Tuple[str, ...] = tuple(
-    name
-    for name in spec.AXIOMS
-    if name in _CO_DEPENDENT and name != "Coherence"
-)
+_PER_CANDIDATE = [
+    axiom
+    for name, axiom in spec.AXIOMS.items()
+    if name in PTX_STAGED.co_dependent and name != "Coherence"
+]
 
 
 def _hits(relation, forbidden: Set[Tuple[Event, Event]]) -> bool:
@@ -176,42 +174,37 @@ def _saturate(
 
 
 def _location_families(
+    st: Staging,
     env,
     cause,
     b_closed,
-    ms,
-    locs: Sequence[str],
-    writes_by_loc: Dict[str, List[Event]],
-    pairs_by_loc: Dict[str, List[Tuple[Event, Event]]],
-    init_forced_by_loc: Dict[str, List[Tuple[Event, Event]]],
     reads_of: Dict[int, List[Event]],
-    axioms,
     stats: EnumStats,
-    orders=oriented_orders,
 ) -> Optional[List[Set[FrozenSet[int]]]]:
-    """Per location (in ``locs`` order), the *families* of co-maximal
+    """Per location (in name order), the *families* of co-maximal
     write eids over that location's consistent coherence orders — or
     ``None`` when some location admits no consistent order, killing the
     whole (rf, sc) prefix."""
-    cause_forced_by_loc: Dict[str, List[Tuple[Event, Event]]] = {}
-    for a, b in cause:
-        if a.is_write and b.is_write and a.loc == b.loc:
-            cause_forced_by_loc.setdefault(a.loc, []).append((a, b))
-
+    ms = st.env.lookup("morally_strong")
+    cause_forced = [
+        (a, b) for a, b in cause
+        if a.is_write and b.is_write and a.loc == b.loc
+    ]
     result: List[Set[FrozenSet[int]]] = []
-    for loc in locs:
-        writes = writes_by_loc[loc]
+    for loc in sorted(st.writes_by_loc):
+        writes = st.writes_by_loc[loc]
         forbidden = _forbidden_edges(writes, cause, b_closed, ms, reads_of)
         forced = env.make_relation(
-            tuple(init_forced_by_loc.get(loc, ()))
-            + tuple(cause_forced_by_loc.get(loc, ()))
+            [p for p in st.init_forced_pairs if p[0].loc == loc]
+            + [p for p in cause_forced if p[0].loc == loc]
         )
-        saturated = _saturate(forced, pairs_by_loc.get(loc, ()), forbidden, stats)
+        pairs = [p for p in st.ms_write_pairs if p[0].loc == loc]
+        saturated = _saturate(forced, pairs, forbidden, stats)
         if saturated is None:
             return None
         forced, open_pairs = saturated
         families: Set[FrozenSet[int]] = set()
-        for co_order in orders(
+        for co_order in st.orders(
             [frozenset(pair) for pair in open_pairs], forced
         ):
             check_deadline()
@@ -221,7 +214,7 @@ def _location_families(
                 continue
             co_env = env.bind("co", co_order)
             stats.candidates_checked += 1
-            if all(co_env.formula(axiom) for axiom in axioms):
+            if all(co_env.formula(axiom) for axiom in _PER_CANDIDATE):
                 families.add(
                     frozenset(
                         w.eid
@@ -238,95 +231,40 @@ def _location_families(
 def _saturation_outcomes(
     program: Program, kernel: str, stats: EnumStats
 ) -> FrozenSet[Outcome]:
-    """The in-fragment engine: all six axioms enforced, no speculation."""
-    elab = elaborate(program)
-    init_events = tuple(
-        init_write(eid=len(elab.events) + index, loc=loc)
-        for index, loc in enumerate(program.locations)
-    )
-    events: Tuple[Event, ...] = elab.events + init_events
-    po = program_order(elab.by_thread)
-    base_values = {event.eid: 0 for event in init_events}
+    """The in-fragment engine: all six axioms enforced, no speculation.
 
-    reads = [e for e in elab.events if e.is_read]
-    writes_by_loc: Dict[str, List[Event]] = {}
-    for event in events:
-        if event.is_write:
-            writes_by_loc.setdefault(event.loc, []).append(event)
-    locs = sorted(writes_by_loc)
-
-    sc_fences = [e for e in events if e.is_fence and e.sem is Sem.SC]
-
-    static = Execution(
-        events=events,
-        relations={
-            "po": po,
-            "rf": Relation.empty(2),
-            "co": Relation.empty(2),
-            "sc": Relation.empty(2),
-            "rmw": elab.rmw,
-            "dep": elab.dep,
-            "syncbarrier": elab.syncbarrier,
-        },
-    )
-    static_env, orders = static_ptx_env(program, static, kernel, stats)
+    The static staging (events, writes by location, sc orders,
+    init-forced edges, the doomed rf pairs, the static environment) is
+    the enumerative engine's; only the co stage differs.
+    """
+    st = Staging(program, PTX_STAGED, kernel, stats)
+    elab, reads, static_env = st.elab, st.reads, st.env
+    locs = sorted(st.writes_by_loc)
     ms = static_env.lookup("morally_strong")
     po_loc = static_env.lookup("po_loc")
-
-    sc_required = [
-        frozenset((a, b))
-        for a in sc_fences
-        for b in sc_fences
-        if a.eid < b.eid and (a, b) in ms
-    ]
-    pairs_by_loc = {
-        loc: [
-            (a, b)
-            for i, a in enumerate(writes)
-            for b in writes[i + 1 :]
-            if (a, b) in ms
-        ]
-        for loc, writes in writes_by_loc.items()
-    }
-    init_forced_by_loc = {
-        init.loc: [
-            (init, other)
-            for other in writes_by_loc[init.loc]
-            if other is not init
-        ]
-        for init in init_events
-    }
-    empty_order = static_env.make_relation(())
-    cause_expr = spec.DERIVED["cause"]
-    axioms = [spec.AXIOMS[name] for name in _PER_CANDIDATE]
     co_independent = [
         axiom
         for name, axiom in spec.AXIOMS.items()
-        if name not in _CO_DEPENDENT
+        if name not in PTX_STAGED.co_dependent
     ]
 
     outcomes: Set[Outcome] = set()
-    rf_choices = [writes_by_loc[read.loc] for read in reads]
-    for rf_assignment in itertools.product(*rf_choices):
+    for rf_assignment in itertools.product(*st.rf_choices):
         check_deadline()
         stats.rf_assignments += 1
         # same pre-check as the enumerative engine: a morally strong
         # read-from-po-later-write dooms SC-per-Location for every co
         # (sound here because the fast path never skips that axiom)
-        if any(
-            (read, write) in po_loc and (read, write) in ms
-            for read, write in zip(reads, rf_assignment)
-        ):
+        if any(pair in st.doomed for pair in zip(reads, rf_assignment)):
             stats.rf_pruned += 1
             continue
         rf_source = {
             read.eid: write.eid for read, write in zip(reads, rf_assignment)
         }
-        rf_rel = Relation(
+        rf_kernel = static_env.make_relation(
             (write, read) for read, write in zip(reads, rf_assignment)
         )
-        rf_env = static_env.bind("rf", static_env.to_kernel(rf_rel))
-        rf_kernel = rf_env.lookup("rf")
+        rf_env = static_env.bind("rf", rf_kernel)
         reads_of: Dict[int, List[Event]] = {}
         for read, write in zip(reads, rf_assignment):
             reads_of.setdefault(write.eid, []).append(read)
@@ -337,7 +275,7 @@ def _saturation_outcomes(
         #: all observable (co-maximal eids per location) tuples over the
         #: prefix's consistent executions, deduplicated across sc orders
         memory_families: Set[Tuple[FrozenSet[int], ...]] = set()
-        for sc_order in orders(sc_required, empty_order):
+        for sc_order, _ in st.sc_orders:
             check_deadline()
             env = rf_env.bind("sc", sc_order)
             # RF_CAUSALITY is the co-free half of Axiom 6: one check per
@@ -348,31 +286,22 @@ def _saturation_outcomes(
             if not pre_ok:
                 stats.pre_co_pruned += 1
                 continue
-            cause = env.expr(cause_expr)
+            cause = env.expr(PTX_STAGED.forced)
             # pre-evaluate co-independent subtrees of the per-candidate
             # axioms; bind("co") retains them across candidates
-            for axiom in axioms:
+            for axiom in _PER_CANDIDATE:
                 env.warm(axiom, _CO_NAMES)
             families = _location_families(
-                env,
-                cause,
-                b_closed,
-                ms,
-                locs,
-                writes_by_loc,
-                pairs_by_loc,
-                init_forced_by_loc,
-                reads_of,
-                axioms,
-                stats,
-                orders=orders,
+                st, env, cause, b_closed, reads_of, stats
             )
             if families is not None:
                 memory_families.update(itertools.product(*families))
 
         if not memory_families:
             continue
-        for valuation in valuations(elab, rf_source, base_values):
+        for valuation in valuations(
+            elab, rf_source, st.base_values, eids=st.val_eids
+        ):
             registers = register_assignment(elab, valuation)
             for combo in memory_families:
                 memory = tuple(

@@ -15,14 +15,14 @@ tests compare against it.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, FrozenSet, Iterator, List, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterator, Sequence
 
 from ..core.deadline import check_deadline
-from ..core.execution import Execution, program_order
-from ..ptx.events import Event, init_write
-from ..ptx.program import Program, elaborate
+from ..core.execution import Execution, by_location
+from ..ptx.model import static_execution
+from ..ptx.program import Program
 from ..relation import Relation
-from .posets import total_orders_with_first
+from .posets import total_coherence_orders
 from .ptx_search import Candidate
 from .records import Outcome
 from .values import valuations
@@ -39,45 +39,11 @@ def total_co_candidates(
     ``check`` maps an :class:`Execution` to a report object exposing
     ``consistent`` and ``axioms`` (e.g. :func:`repro.tso.check_execution`).
     """
-    elab = elaborate(program)
-    init_events = tuple(
-        init_write(eid=len(elab.events) + index, loc=loc)
-        for index, loc in enumerate(program.locations)
-    )
-    events: Tuple[Event, ...] = elab.events + init_events
-    po = program_order(elab.by_thread)
+    elab, init_events, static = static_execution(program)
     base_values = {event.eid: 0 for event in init_events}
-
     reads = [e for e in elab.events if e.is_read]
-    writes_by_loc: Dict[str, List[Event]] = {}
-    for event in events:
-        if event.is_write:
-            writes_by_loc.setdefault(event.loc, []).append(event)
-    init_by_loc = {event.loc: event for event in init_events}
-
-    static = Execution(
-        events=events,
-        relations={
-            "po": po,
-            "rf": Relation.empty(2),
-            "co": Relation.empty(2),
-            "rmw": elab.rmw,
-            "dep": elab.dep,
-            "syncbarrier": elab.syncbarrier,
-        },
-    )
-
-    def co_choices() -> Iterator[Relation]:
-        per_loc = []
-        for loc, writes in sorted(writes_by_loc.items()):
-            init = init_by_loc[loc]
-            others = [w for w in writes if w is not init]
-            per_loc.append(list(total_orders_with_first(init, others)))
-        for combo in itertools.product(*per_loc):
-            merged = Relation.empty(2)
-            for order in combo:
-                merged = merged | order
-            yield merged
+    writes_by_loc = by_location(e for e in static.events if e.is_write)
+    co_choices = list(total_coherence_orders(init_events, writes_by_loc))
 
     rf_choices = [writes_by_loc[read.loc] for read in reads]
     for rf_assignment in itertools.product(*rf_choices):
@@ -89,7 +55,7 @@ def total_co_candidates(
             (write, read) for read, write in zip(reads, rf_assignment)
         )
         for valuation in valuations(elab, rf_source, base_values, speculation_values):
-            for co_rel in co_choices():
+            for co_rel in co_choices:
                 execution = static.with_relations(rf=rf_rel, co=co_rel)
                 report = check(execution)
                 if getattr(report, "consistent", False) or include_inconsistent:

@@ -16,7 +16,7 @@ not pay for the search machinery.
 """
 
 from .. import _lazy_exports
-from .model import Claim, EventSignature, WitnessSpec, ZooModel
+from .model import Claim, EventSignature, RfDoom, WitnessSpec, ZooModel
 from .models import (
     ZOO,
     ZOO_MODELS,
@@ -38,6 +38,7 @@ __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 __all__ = [
     "Claim",
     "EventSignature",
+    "RfDoom",
     "WitnessSpec",
     "ZOO",
     "ZOO_MODELS",

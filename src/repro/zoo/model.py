@@ -13,9 +13,11 @@ A zoo model is three declarations and nothing else:
   :mod:`repro.cat.models`, referenced by name.
 
 Given those, the generic engine (:func:`repro.zoo.engine.zoo_outcomes`)
-enumerates candidate executions and filters them through the cat
+runs the model on the staged enumeration the native PTX engine uses
+(:mod:`repro.search.staged`) and filters candidates through the cat
 constraints: adding a model to the repository means writing a ``.cat``
-file and one :class:`ZooModel` declaration — no new engine code.
+file and one :class:`ZooModel` declaration — no new engine code.  A
+model may also declare an :class:`RfDoom` prune its axioms justify.
 
 Models additionally declare **containment claims**: ``A ⊑ B`` asserts
 that every behaviour ``A`` allows, ``B`` allows too (``A`` is the
@@ -71,14 +73,21 @@ class WitnessSpec:
       definition, the same-location write pairs that definition forces
       (PTX Axiom 1 forces ``cause`` edges into ``co``).
 
+    ``forced_released_by`` names the constraint whose content the forced
+    edges are (PTX: Coherence, Axiom 1): skipping that constraint drops
+    them, so its ablation enumerates the orientations it would forbid.
+
     ``sc_fences`` additionally enumerates a runtime order over morally
-    strong ``fence.sc`` pairs, bound as ``sc`` (PTX §3.4).
+    strong ``fence.sc`` pairs, bound as ``sc`` (PTX §3.4).  The
+    ``partial-ms`` and ``sc_fences`` witnesses read the signature's
+    ``morally_strong`` relation.
     """
 
     co_style: str = "total"
     co_name: str = "co"
     sc_fences: bool = False
     co_forced_from: Optional[str] = None
+    forced_released_by: Optional[str] = None
 
     def __post_init__(self):
         if self.co_style not in ("total", "partial-ms"):
@@ -91,6 +100,28 @@ class WitnessSpec:
                 "co_forced_from only applies to the 'partial-ms' style "
                 "(total orders have no orientation left to force)"
             )
+        if self.forced_released_by is not None and self.co_forced_from is None:
+            raise ValueError(
+                "forced_released_by needs co_forced_from (there are no "
+                "forced edges to release)"
+            )
+
+
+@dataclass(frozen=True)
+class RfDoom:
+    """A reads-from prune: choices no completion can make consistent.
+
+    A read that takes its value from a po-later write to its own
+    location closes an ``rf ; po_loc`` 2-cycle.  When every such cycle
+    violates ``constraint`` whatever the sc and co witnesses are, the
+    enumeration drops the rf assignment before evaluating anything.
+    ``restrict`` names the bound relation the read/write pair must lie in
+    for the cycle to count (PTX: only morally strong pairs, Axiom 5), or
+    None when every pair counts.
+    """
+
+    constraint: str
+    restrict: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -133,6 +164,8 @@ class ZooModel:
     #: options tolerated and dropped (e.g. PTX-only annotations)
     ignored_opts: FrozenSet[str] = frozenset()
     description: str = ""
+    #: the declared rf-stage prune, if the axioms admit one
+    rf_doom: Optional[RfDoom] = None
 
     def __post_init__(self):
         for claim in self.claims:

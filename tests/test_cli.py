@@ -224,13 +224,14 @@ class TestFuzzCommands:
     def test_recheck_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.litmus")
         assert main(["fuzz", "--recheck", missing]) == 2
-        assert "error:" in capsys.readouterr().err
+        # the same form as ``run``: error: <file>: <message>
+        assert f"error: {missing}: " in capsys.readouterr().err
 
     def test_recheck_non_litmus_file(self, tmp_path, capsys):
         path = tmp_path / "notes.litmus"
         path.write_text("this is not a litmus test\n")
         assert main(["fuzz", "--recheck", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert f"error: {path}: " in capsys.readouterr().err
 
     def test_no_steer_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -41,6 +41,10 @@ class TestProtocolValidation:
         with pytest.raises(ValueError, match="partial-ms"):
             WitnessSpec(co_style="total", co_forced_from="cause")
 
+    def test_release_label_requires_forced_edges(self):
+        with pytest.raises(ValueError, match="co_forced_from"):
+            WitnessSpec(co_style="partial-ms", forced_released_by="Coherence")
+
     def test_unknown_claim_basis_rejected(self):
         with pytest.raises(ValueError, match="basis"):
             Claim("sc", "tso", basis="vibes")
@@ -99,6 +103,25 @@ class TestDeclarations:
             for _, builder in model.signature.relations:
                 assert builder in BUILDERS, (model.name, builder)
 
+    def test_prunes_and_releases_name_real_constraints(self):
+        """A declared rf prune or forced-edge release must name one of
+        the model's cat labels, and read only relations the signature
+        binds — a typo would silently disable it."""
+        from repro.cat.models import load_model
+
+        for model in ZOO_MODELS:
+            labels = {name for name, _ in load_model(model.cat).constraints}
+            ws = model.witnesses
+            relations = set(model.signature.relation_names)
+            if ws.forced_released_by is not None:
+                assert ws.forced_released_by in labels, model.name
+            if ws.sc_fences or ws.co_style == "partial-ms":
+                assert "morally_strong" in relations, model.name
+            doom = model.rf_doom
+            if doom is not None:
+                assert doom.constraint in labels, model.name
+                assert doom.restrict in (None, *relations), model.name
+
     def test_claims_reference_registered_models(self):
         claims = containment_claims()
         assert claims  # the zoo ships a nonempty declared order
@@ -123,6 +146,19 @@ def _reference_outcomes(model, program, **opts):
     return allowed_outcomes_total(program, check, **opts)
 
 
+def _suite_and_corpus4():
+    from repro.litmus.corpus import corpus_length4
+    from repro.litmus.suite import SUITE
+
+    return list(SUITE) + [g.test for _, _, g in corpus_length4()]
+
+
+def _opts(model, test):
+    from repro.registry import partition_opts
+
+    return partition_opts(model, dict(test.search_opts))
+
+
 class TestGenericEngineAgreement:
     """zoo_outcomes must reproduce the dedicated engines exactly."""
 
@@ -136,6 +172,62 @@ class TestGenericEngineAgreement:
         test = BY_NAME[test_name]
         assert zoo_outcomes(model, test.program) == \
             _reference_outcomes(model, test.program)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kernel", ["compiled", "set"])
+    def test_ptx_agrees_with_native_engine_everywhere(self, kernel):
+        """The cat-driven ptx equals the native engine on the whole
+        suite and CORPUS4, on either kernel."""
+        from repro.zoo import zoo_outcomes
+
+        for test in _suite_and_corpus4():
+            opts, _ = _opts("ptx", test)
+            assert zoo_outcomes(
+                "ptx", test.program, kernel=kernel, **opts
+            ) == _reference_outcomes("ptx", test.program, **opts), test.name
+
+    def test_skipping_coherence_matches_the_native_ablation(self):
+        """Skipping Coherence releases the cause-forced co edges on the
+        zoo's ptx exactly as on the native engine: the ablation is
+        visible (CoRW, S+rel_acq, R+fence.sc) rather than a no-op."""
+        from repro.litmus.suite import SUITE
+        from repro.zoo import zoo_outcomes
+
+        skip = ("Coherence",)
+        changed = []
+        for test in SUITE:
+            opts, _ = _opts("ptx", test)
+            ablated = zoo_outcomes(
+                "ptx", test.program, skip_axioms=skip, **opts
+            )
+            assert ablated == _reference_outcomes(
+                "ptx", test.program, skip_axioms=skip, **opts
+            ), test.name
+            if ablated != zoo_outcomes("ptx", test.program, **opts):
+                changed.append(test.name)
+        assert {"CoRW", "S+rel_acq", "R+fence.sc"} <= set(changed)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("model", [m.name for m in ZOO_MODELS])
+    def test_set_and_compiled_kernels_agree(self, model):
+        """Both kernels give every zoo model the same outcomes and do the
+        same work: every EnumStats counter but the set kernel's memo
+        telemetry is equal."""
+        from repro.search.records import EnumStats
+        from repro.zoo import zoo_outcomes
+
+        for test in _suite_and_corpus4():
+            opts, _ = _opts(model, test)
+            runs = {}
+            for kernel in ("compiled", "set"):
+                stats = EnumStats()
+                outcomes = zoo_outcomes(
+                    model, test.program, kernel=kernel, stats=stats, **opts
+                )
+                counters = stats.as_dict()
+                del counters["memo_hits"], counters["memo_misses"]
+                runs[kernel] = (outcomes, counters)
+            assert runs["compiled"] == runs["set"], test.name
 
     @pytest.mark.slow
     @pytest.mark.parametrize("model", ["tso", "sc"])
