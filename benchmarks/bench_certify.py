@@ -10,6 +10,12 @@ Also asserts the trust properties the overhead pays for: every verdict
 carries a certificate record, no certificate fails, and every
 symbolically decidable test's certificate is checker-verified.
 
+Both timed sweeps start from a cleared compile cache, the state each
+``ptxmm suite`` process starts in: otherwise whatever ran earlier in the
+same process (other benchmarks) warms the cache for the plain sweep
+only, since the certified path reuses nothing from it, and the ratio
+depends on test order.
+
 Timings and per-status certificate counts land in
 ``benchmark.extra_info`` (see EXPERIMENTS.md, "Certification overhead").
 """
@@ -20,10 +26,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from repro.lang import clear_compile_cache
 from repro.litmus import SUITE, RunConfig, Session
 
 
 def _sweep(config: RunConfig):
+    clear_compile_cache()
     with Session(config) as session:
         results = session.run_suite(SUITE)
         stats = session.stats

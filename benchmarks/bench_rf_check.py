@@ -12,10 +12,12 @@ Outcome sets are asserted equal before any timing is recorded, so an
 unsound saturation pass cannot masquerade as a speedup.
 
 Emits ``BENCH_rf_check.json`` next to this file.  ``--check
-BASELINE.json`` compares *speedup ratios* (machine-independent, unlike
-absolute times) at the largest common size and exits non-zero when the
-measured speedup regresses to below a third of the committed
-baseline's — the CI perf-smoke gate.
+BASELINE.json`` is the CI perf-smoke gate.  It exits non-zero when, at
+any measured size *n*, a work counter is off — the enumerative engine
+must check exactly ``2^n`` co candidates, rf-check exactly ``2n``, with
+no fallback (exact on any machine) — or when the measured speedup at
+the largest common size drops below a third of the committed baseline's
+(a ratio, so machine-independent, unlike absolute times).
 
 Usage::
 
@@ -109,6 +111,7 @@ def measure_crossover(quick: bool) -> dict:
             "enum_candidates": enum_stats.candidates_checked,
             "rf_check_candidates": rf_stats.candidates_checked,
             "saturation_steps": rf_stats.saturation_steps,
+            "fallbacks": rf_stats.fallbacks,
         }
     return per_size
 
@@ -126,6 +129,26 @@ def measure(quick: bool) -> dict:
 def _gate_size(report: dict) -> str:
     """The largest size present in a report (quick runs stop at 8)."""
     return str(max(int(k) for k in report["sizes"]))
+
+
+def check_counters(current: dict) -> int:
+    """Exact work-counter gate at every measured size ``n``: ``2^n``
+    enumerative co candidates, ``2n`` rf-check ones, no fallback."""
+    failed = 0
+    for size, row in current["sizes"].items():
+        n = int(size)
+        expected = {
+            "enum_candidates": 2 ** n,
+            "rf_check_candidates": 2 * n,
+            "fallbacks": 0,
+        }
+        for key, want in expected.items():
+            if row[key] != want:
+                print(f"FAIL: size {n}: {key} = {row[key]}, expected {want}")
+                failed = 1
+    if not failed:
+        print("ok: candidate counts 2^n / 2n and no fallbacks at every size")
+    return failed
 
 
 def check_regression(current: dict, baseline: dict) -> int:
@@ -165,8 +188,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", type=Path, metavar="BASELINE",
-        help="compare speedup ratios against a committed baseline JSON; "
-        "exit 1 on a >3x regression at the largest common size",
+        help="check the exact candidate counters, and compare speedup "
+        "ratios against a committed baseline JSON; exit 1 on a counter "
+        "mismatch or a >3x regression at the largest common size",
     )
     args = parser.parse_args(argv)
 
@@ -189,7 +213,8 @@ def main(argv=None) -> int:
         f"{gate}; report -> {args.out}"
     )
     if baseline is not None:
-        return check_regression(report, baseline)
+        counters = check_counters(report)
+        return check_regression(report, baseline) or counters
     return 0
 
 

@@ -20,16 +20,10 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..registry import (
     DEFAULT_KERNEL,
-    engine_names,
     resolve_engine,
     resolve_kernel,
     resolve_model,
 )
-
-#: Engine names the runner knows how to drive (re-exported for
-#: compatibility; the authoritative table with capability flags is
-#: :data:`repro.registry.ENGINES`).
-ENGINES: Tuple[str, ...] = engine_names()
 
 
 def _freeze_value(value):

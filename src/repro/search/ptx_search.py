@@ -12,8 +12,8 @@ is its PTX front.  :data:`PTX_STAGED` hands the loop the axioms of
 and the witness spec and rf prune of the one PTX declaration
 (:data:`repro.zoo.models.PTX`, which the zoo's cat-driven ``ptx`` reads
 too).  Compiled instances are keyed by ``("ptx", program signature)``
-and shared with the rf-check engine (:mod:`.rf_check`), which also
-evaluates :data:`RF_CAUSALITY` over the same staging.
+and shared with the rf-check engine (:mod:`.rf_check`), whose model is
+this one with :data:`RF_CAUSALITY` moved into the constraints.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .records import EnumStats, Outcome, register_sort_key  # noqa: F401
 from .staged import Candidate, StagedModel, staged_candidates
 
 #: ``irreflexive(rf ; cause)`` — the rf-check engine's per-(rf, sc)
-#: admissibility formula.  Defined here (sharing the spec's ``cause``
-#: node) so ptx_search and rf_check compile against one instance per
-#: (model, test-signature).
+#: admissibility constraint.  Compiled here as an extra formula (sharing
+#: the spec's ``cause`` node) so ptx_search and rf_check compile against
+#: one instance per (model, test-signature).
 RF_CAUSALITY = Irreflexive(rel("rf") @ spec.DERIVED["cause"])
 
 #: the PTX model as the staged enumeration runs it

@@ -32,10 +32,10 @@ constraints:
    the co-dependent axioms themselves, so the forbidden-edge analysis
    only ever *prunes*; it is never trusted for a positive verdict.
 
-Everything before the co stage — the events, the static environment
-(the enumerative engine's compiled instance), the sc orders, the
-init-forced edges and the doomed rf pairs — comes from the shared
-staging (:class:`~.staged.Staging`); only the co stage is this module's.
+The rf and (rf, sc) stages — rf choices, doom prune, sc orders,
+co-independent pre-check, forced co edges — are the staged loop's
+shared prefix (:func:`~.staged.rf_sc_prefixes`); only the co stage is
+this module's.
 
 Coherence (Axiom 1) needs no per-candidate check at all: its left-hand
 side is exactly the causality-forced same-location write pairs, which
@@ -56,21 +56,29 @@ from __future__ import annotations
 
 import itertools
 import logging
+from dataclasses import replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.deadline import TimeoutExceeded, check_deadline
-from ..ptx import spec
 from ..ptx.events import Event
 from ..ptx.program import Program
 from ..registry import DEFAULT_KERNEL
-from .ptx_search import PTX_STAGED, RF_CAUSALITY, allowed_outcomes
+from .ptx_search import PTX_STAGED, allowed_outcomes
 from .records import EnumStats, Outcome
-from .staged import Staging, register_assignment
+from .staged import Staging, register_assignment, rf_sc_prefixes
 from .values import valuations
 
 logger = logging.getLogger("repro.search.rf_check")
 
-_CO_NAMES: FrozenSet[str] = frozenset(("co",))
+#: the PTX model with :data:`~.ptx_search.RF_CAUSALITY` checked as a
+#: co-independent constraint, once per (rf, sc) prefix.  Its formula list
+#: is :data:`~.ptx_search.PTX_STAGED`'s (constraints + extra formulas), so
+#: both engines share one compiled instance per program signature.
+RF_CHECK_STAGED = replace(
+    PTX_STAGED,
+    constraints=PTX_STAGED.constraints + PTX_STAGED.extra_formulas,
+    extra_formulas=(),
+)
 
 #: co-dependent axioms that still need a per-candidate evaluation once a
 #: location's coherence order is chosen.  Coherence is excluded: its
@@ -78,8 +86,8 @@ _CO_NAMES: FrozenSet[str] = frozenset(("co",))
 #: construction (see module docstring).
 _PER_CANDIDATE = [
     axiom
-    for name, axiom in spec.AXIOMS.items()
-    if name in PTX_STAGED.co_dependent and name != "Coherence"
+    for label, axiom in RF_CHECK_STAGED.constraints
+    if label in RF_CHECK_STAGED.co_dependent and label != "Coherence"
 ]
 
 
@@ -175,37 +183,30 @@ def _saturate(
 
 def _location_families(
     st: Staging,
+    locations,
     env,
-    cause,
+    forced,
     b_closed,
     reads_of: Dict[int, List[Event]],
     stats: EnumStats,
 ) -> Optional[List[Set[FrozenSet[int]]]]:
-    """Per location (in name order), the *families* of co-maximal
-    write eids over that location's consistent coherence orders — or
-    ``None`` when some location admits no consistent order, killing the
-    whole (rf, sc) prefix."""
+    """Per location (in ``locations`` order), the *families* of
+    co-maximal write eids over that location's consistent coherence
+    orders — or ``None`` when some location admits no consistent order,
+    killing the whole (rf, sc) prefix.  Each location's saturation is
+    seeded with its share of the prefix's ``forced`` co edges."""
     ms = st.env.lookup("morally_strong")
-    cause_forced = [
-        (a, b) for a, b in cause
-        if a.is_write and b.is_write and a.loc == b.loc
-    ]
+    cause = env.expr(RF_CHECK_STAGED.forced)
     result: List[Set[FrozenSet[int]]] = []
-    for loc in sorted(st.writes_by_loc):
-        writes = st.writes_by_loc[loc]
+    for writes, same_loc, pairs in locations:
         forbidden = _forbidden_edges(writes, cause, b_closed, ms, reads_of)
-        forced = env.make_relation(
-            [p for p in st.init_forced_pairs if p[0].loc == loc]
-            + [p for p in cause_forced if p[0].loc == loc]
-        )
-        pairs = [p for p in st.ms_write_pairs if p[0].loc == loc]
-        saturated = _saturate(forced, pairs, forbidden, stats)
+        saturated = _saturate(forced & same_loc, pairs, forbidden, stats)
         if saturated is None:
             return None
-        forced, open_pairs = saturated
+        loc_forced, open_pairs = saturated
         families: Set[FrozenSet[int]] = set()
         for co_order in st.orders(
-            [frozenset(pair) for pair in open_pairs], forced
+            [frozenset(pair) for pair in open_pairs], loc_forced
         ):
             check_deadline()
             # combined orientations can close a forbidden transitive
@@ -233,72 +234,45 @@ def _saturation_outcomes(
 ) -> FrozenSet[Outcome]:
     """The in-fragment engine: all six axioms enforced, no speculation.
 
-    The static staging (events, writes by location, sc orders,
-    init-forced edges, the doomed rf pairs, the static environment) is
-    the enumerative engine's; only the co stage differs.
+    Iterates the staged loop's prefixes of :data:`RF_CHECK_STAGED` and
+    decides each by saturation per location.
     """
-    st = Staging(program, PTX_STAGED, kernel, stats)
+    st = Staging(program, RF_CHECK_STAGED, kernel, stats)
     elab, reads, static_env = st.elab, st.reads, st.env
     locs = sorted(st.writes_by_loc)
+    #: per location: its writes, its write pairs (which cut its share out
+    #: of the forced edges) and its undecided morally strong pairs
+    locations = [
+        (writes, static_env.make_relation(itertools.product(writes, repeat=2)),
+         [p for p in st.ms_write_pairs if p[0].loc == loc])
+        for loc, writes in sorted(st.writes_by_loc.items())
+    ]
     ms = static_env.lookup("morally_strong")
     po_loc = static_env.lookup("po_loc")
-    co_independent = [
-        axiom
-        for name, axiom in spec.AXIOMS.items()
-        if name not in PTX_STAGED.co_dependent
-    ]
 
     outcomes: Set[Outcome] = set()
-    for rf_assignment in itertools.product(*st.rf_choices):
-        check_deadline()
-        stats.rf_assignments += 1
-        # same pre-check as the enumerative engine: a morally strong
-        # read-from-po-later-write dooms SC-per-Location for every co
-        # (sound here because the fast path never skips that axiom)
-        if any(pair in st.doomed for pair in zip(reads, rf_assignment)):
-            stats.rf_pruned += 1
-            continue
-        rf_source = {
-            read.eid: write.eid for read, write in zip(reads, rf_assignment)
-        }
-        rf_kernel = static_env.make_relation(
-            (write, read) for read, write in zip(reads, rf_assignment)
-        )
-        rf_env = static_env.bind("rf", rf_kernel)
+    for rf_assignment, rf_value, sc_variants in rf_sc_prefixes(st):
         reads_of: Dict[int, List[Event]] = {}
         for read, write in zip(reads, rf_assignment):
             reads_of.setdefault(write.eid, []).append(read)
-
         # SC-per-Location's co-free skeleton, shared by every sc variant
-        b_closed = ((ms & rf_kernel) | po_loc).closure()
+        b_closed = ((ms & rf_value) | po_loc).closure()
 
         #: all observable (co-maximal eids per location) tuples over the
         #: prefix's consistent executions, deduplicated across sc orders
         memory_families: Set[Tuple[FrozenSet[int], ...]] = set()
-        for sc_order, _ in st.sc_orders:
-            check_deadline()
-            env = rf_env.bind("sc", sc_order)
-            # RF_CAUSALITY is the co-free half of Axiom 6: one check per
-            # (rf, sc) prefix, shared with ptx_search's compiled instance
-            pre_ok = all(
-                env.formula(axiom) for axiom in co_independent
-            ) and env.formula(RF_CAUSALITY)
-            if not pre_ok:
-                stats.pre_co_pruned += 1
-                continue
-            cause = env.expr(PTX_STAGED.forced)
-            # pre-evaluate co-independent subtrees of the per-candidate
-            # axioms; bind("co") retains them across candidates
-            for axiom in _PER_CANDIDATE:
-                env.warm(axiom, _CO_NAMES)
+        for env, forced, _, _, _, _ in sc_variants:
             families = _location_families(
-                st, env, cause, b_closed, reads_of, stats
+                st, locations, env, forced, b_closed, reads_of, stats
             )
             if families is not None:
                 memory_families.update(itertools.product(*families))
 
         if not memory_families:
             continue
+        rf_source = {
+            read.eid: write.eid for read, write in zip(reads, rf_assignment)
+        }
         for valuation in valuations(
             elab, rf_source, st.base_values, eids=st.val_eids
         ):
@@ -331,23 +305,21 @@ def rf_check_outcomes(
     enumerative engine's.
     """
     stats = stats if stats is not None else EnumStats()
-    if skip_axioms or speculation_values:
-        stats.fallbacks += 1
-        return allowed_outcomes(
-            program,
-            skip_axioms=skip_axioms,
-            speculation_values=speculation_values,
-            kernel=kernel,
-            stats=stats,
-        )
-    try:
-        return _saturation_outcomes(program, kernel, stats)
-    except TimeoutExceeded:
-        raise
-    except Exception:  # noqa: BLE001 — soundness net: defer to the reference engine
-        logger.exception(
-            "rf-check saturation failed; falling back to the enumerative "
-            "engine (the verdict is unaffected)"
-        )
-        stats.fallbacks += 1
-        return allowed_outcomes(program, kernel=kernel, stats=stats)
+    if not skip_axioms and not speculation_values:
+        try:
+            return _saturation_outcomes(program, kernel, stats)
+        except TimeoutExceeded:
+            raise
+        except Exception:  # noqa: BLE001 — soundness net: defer to the reference engine
+            logger.exception(
+                "rf-check saturation failed; falling back to the "
+                "enumerative engine (the verdict is unaffected)"
+            )
+    stats.fallbacks += 1
+    return allowed_outcomes(
+        program,
+        skip_axioms=skip_axioms,
+        speculation_values=speculation_values,
+        kernel=kernel,
+        stats=stats,
+    )

@@ -4,11 +4,11 @@ The paper checks a model (§5) by choosing the reads-from witness ``rf``
 (which fixes every value, via :mod:`.values`), then the runtime Fence-SC
 order ``sc``, then the coherence order, and filtering each candidate
 through the axioms.  This module is that loop, once, for every axiomatic
-model the repository runs: the native PTX engine (:mod:`.ptx_search`) and
-the zoo (:mod:`repro.zoo.engine`) describe their model as a
-:class:`StagedModel` and iterate :func:`staged_candidates`; the rf-check
-engine (:mod:`.rf_check`) reuses the set-up (:class:`Staging`) and
-replaces only the co stage.  The stages:
+model the repository runs, each described as a :class:`StagedModel`.
+Stages 1–3 are the shared prefix, :func:`rf_sc_prefixes`; stages 4–5 are
+:func:`staged_candidates`, which the native PTX engine (:mod:`.ptx_search`)
+and the zoo (:mod:`repro.zoo.engine`) iterate.  The rf-check engine
+(:mod:`.rf_check`) consumes the same prefix with its own co stage.
 
 1. pick ``rf``, dropping assignments the model's declared doom prune
    (:class:`~repro.zoo.model.RfDoom`) proves inconsistent for every
@@ -17,9 +17,9 @@ replaces only the co stage.  The stages:
    if the witness spec asks for them (rf-independent: enumerated once);
 3. check the co-independent constraints once per (rf, sc) prefix and
    derive the co edges the witness spec forces;
-4. pick the coherence witness — orientations of the morally strong write
-   pairs seeded with the forced edges (``partial-ms``), or one of the
-   per-location total orders (``total``, enumerated once);
+4. per valuation, pick the coherence witness — orientations of the
+   morally strong write pairs seeded with the forced edges
+   (``partial-ms``), or a per-location total order (``total``);
 5. check the co-dependent constraints only.
 
 The default ``compiled`` kernel runs the constraints as per-test
@@ -199,6 +199,7 @@ class Staging:
         if kernel not in ("compiled", "set"):
             raise ValueError(f"unknown relation kernel {kernel!r}")
         ws = model.witnesses
+        self.model, self.stats = model, stats
         elab, init_events, self.static = static_execution(program)
         self.elab, self.init_events = elab, init_events
         events = self.events = self.static.events
@@ -254,18 +255,16 @@ class Staging:
                 for order in self.orders(required, empty_order)
             ]
 
-        self.init_forced_pairs: Tuple[Tuple[Event, Event], ...] = ()
         self.init_forced = empty_order
         self.ms_write_pairs: List[Tuple[Event, Event]] = []
         self.co_choices: Optional[list] = None
         if ws.co_style == "partial-ms":
-            self.init_forced_pairs = tuple(
+            self.init_forced = env.make_relation(
                 (init, other)
                 for init in init_events
                 for other in writes_by_loc[init.loc]
                 if other is not init
             )
-            self.init_forced = env.make_relation(self.init_forced_pairs)
             # init edges seed every ``forced`` the co enumerator sees, so
             # pairs they already orient can never come up undecided
             init_closed = self.init_forced.closure()
@@ -323,47 +322,45 @@ class Staging:
             ]
 
 
-def staged_candidates(
-    program: Program,
-    model: StagedModel,
-    skip_axioms: Tuple[str, ...] = (),
-    speculation_values: Sequence[int] = (),
-    include_inconsistent: bool = False,
-    kernel: str = DEFAULT_KERNEL,
-    stats: Optional[EnumStats] = None,
-    outcomes_only: bool = False,
-) -> Iterator:
-    """Enumerate ``model``'s candidate executions of ``program``.
+def _co_checks(model: StagedModel, skip_axioms: Tuple[str, ...]) -> list:
+    """The per-candidate checks, in report order, minus skipped ones."""
+    return [
+        (label, formula)
+        for label, formula in model.constraints
+        if label in model.co_dependent and label not in skip_axioms
+    ]
 
-    Yields a :class:`Candidate` per consistent execution, or just its
-    :class:`Outcome` under ``outcomes_only``.  ``skip_axioms`` disables
-    constraints by label (the fronts validate the labels);
-    ``speculation_values`` enables out-of-thin-air valuations;
-    ``include_inconsistent`` yields every candidate with its
-    per-constraint report, disables the prunes and ignores
-    ``outcomes_only``.  ``stats`` receives the enumeration counters.
+
+def rf_sc_prefixes(
+    st: Staging,
+    skip_axioms: Tuple[str, ...] = (),
+    include_inconsistent: bool = False,
+) -> Iterator[Tuple[Tuple[Event, ...], object, list]]:
+    """The shared rf and (rf, sc) stages, engine-agnostic.
+
+    Yields ``(rf_assignment, rf_value, sc_variants)`` per reads-from
+    choice (a write per read of ``st.reads``) that survives the doom
+    prune and keeps an sc variant.  A variant is ``(env, forced, report,
+    ok, sc_rel, co_orders)``: the env with ``rf`` and ``sc`` bound and the
+    co-dependent constraints warmed; the forced co edges (``None`` under
+    the ``total`` style); the constraint report, all true but for failed
+    co-independent ones; whether none failed; the sc order as a
+    :class:`Relation`; and the co witness space if already decided
+    (``None``: orient ``forced``).  Failing variants are dropped unless
+    ``include_inconsistent``, which also disables the doom prune.  The
+    rf-stage counters and pre-check failures go to ``st.stats``.
     """
-    stats = stats if stats is not None else EnumStats()
-    st = Staging(program, model, kernel, stats)
-    elab, reads, all_writes = st.elab, st.reads, st.all_writes
-    static_env, orders = st.env, st.orders
+    model, stats, static_env = st.model, st.stats, st.env
     ws = model.witnesses
     co_names = frozenset((ws.co_name,))
-    co_dependent = model.co_dependent
     #: the per-(rf, sc) checks: skipped ones hold without evaluation
     pre_eval = [
         (label, None if label in skip_axioms else formula)
         for label, formula in model.constraints
-        if label not in co_dependent
+        if label not in model.co_dependent
     ]
-    #: the per-candidate checks, in report order, minus skipped ones
-    co_eval = [
-        (label, formula)
-        for label, formula in model.constraints
-        if label in co_dependent and label not in skip_axioms
-    ]
-    #: a consistent candidate's report: every constraint holds (skipped
-    #: ones count as holding), so the dict is shared and copied
+    co_eval = _co_checks(model, skip_axioms)
+    #: skipped constraints count as holding
     all_true = dict.fromkeys((label for label, _ in model.constraints), True)
     # The forced co edges are exactly the content of the releasing
     # constraint: under its ablation the orientations it forbids must be
@@ -371,19 +368,11 @@ def staged_candidates(
     forced_expr = (
         None if ws.forced_released_by in skip_axioms else model.forced
     )
-    # Residual dispatch for the compiled kernel: a co rebind is a slot
-    # reset and each constraint a direct call into its generated checker
-    # (the CompiledEnv wrapper would re-resolve both per candidate).  The
-    # diagnostic path keeps the wrapper.
-    co_fast = pre_fast = warm_fast = None
-    if kernel == "compiled":
+    # the compiled kernel calls each generated checker directly (the
+    # CompiledEnv wrapper would re-resolve it per prefix)
+    pre_fast = warm_fast = None
+    if isinstance(static_env, CompiledEnv):
         cmodel = static_env.model
-        if not include_inconsistent:
-            co_fast = (
-                cmodel.binding_index[ws.co_name],
-                cmodel.reset_slots[ws.co_name],
-                [(label, cmodel.formulas[id(f)]) for label, f in co_eval],
-            )
         pre_fast = [
             (label, None if f is None else cmodel.formulas[id(f)])
             for label, f in pre_eval
@@ -397,9 +386,8 @@ def staged_candidates(
         and doom.constraint not in skip_axioms
         and not include_inconsistent
     )
-    doomed = st.doomed
+    reads, doomed = st.reads, st.doomed
     rf_bits, u = st.rf_bits, st.space
-    ms_pairs = [frozenset(pair) for pair in st.ms_write_pairs]
 
     for rf_assignment in itertools.product(*st.rf_choices):
         check_deadline()
@@ -411,15 +399,6 @@ def staged_candidates(
             # the pre-check is exactly a doom proof for that constraint
             stats.record_axiom_failure(doom.constraint)
             continue
-        rf_source = {
-            read.eid: write.eid for read, write in zip(reads, rf_assignment)
-        }
-        rf_pairs = tuple(
-            (write, read) for read, write in zip(reads, rf_assignment)
-        )
-        # the plain-Relation view is only needed for yielded executions
-        # and rf-dependent builders; most rf assignments need neither
-        rf_rel: Optional[Relation] = None
         if rf_bits is not None:
             rows = [0] * u.n
             for write, lookup in zip(rf_assignment, rf_bits):
@@ -427,15 +406,19 @@ def staged_candidates(
                 rows[row] |= bit
             rf_value = BitRel._make(u, tuple(rows))
         else:
-            rf_value = static_env.make_relation(rf_pairs)
+            rf_value = static_env.make_relation(
+                (write, read) for read, write in zip(reads, rf_assignment)
+            )
         rf_env = static_env.bind("rf", rf_value)
         if model.rf_builders:
-            rf_rel = Relation(rf_pairs)
+            rf_rel = Relation(
+                (write, read) for read, write in zip(reads, rf_assignment)
+            )
             for name, build in model.rf_builders:
                 rf_env = rf_env.bind(name, rf_env.to_kernel(build(rf_rel)))
 
-        # Everything per-sc is valuation-independent: compute it once per
-        # rf choice and replay it inside the valuation loop.
+        # Everything per-sc is valuation-independent: computed once per
+        # rf choice and replayed for every valuation and co candidate.
         sc_variants = []
         for sc_order, sc_rel in st.sc_orders:
             env = rf_env if sc_order is None else rf_env.bind("sc", sc_order)
@@ -466,7 +449,7 @@ def staged_candidates(
                 # with no write pairs to orient, the co enumeration always
                 # yields exactly the closure of ``forced`` (when acyclic):
                 # resolve it here instead of per valuation
-                if not ms_pairs:
+                if not st.ms_write_pairs:
                     closed = forced.closure()
                     co_orders = [closed] if closed.is_irreflexive() else []
             # pre-evaluate the co-independent parts of the co-dependent
@@ -481,9 +464,56 @@ def staged_candidates(
                 env, forced, {**all_true, **pre_results}, pre_ok, sc_rel,
                 co_orders,
             ))
+        if sc_variants:
+            yield rf_assignment, rf_value, sc_variants
 
-        if not sc_variants:
-            continue
+
+def staged_candidates(
+    program: Program,
+    model: StagedModel,
+    skip_axioms: Tuple[str, ...] = (),
+    speculation_values: Sequence[int] = (),
+    include_inconsistent: bool = False,
+    kernel: str = DEFAULT_KERNEL,
+    stats: Optional[EnumStats] = None,
+    outcomes_only: bool = False,
+) -> Iterator:
+    """Enumerate ``model``'s candidate executions of ``program``.
+
+    Yields a :class:`Candidate` per consistent execution, or just its
+    :class:`Outcome` under ``outcomes_only``.  ``skip_axioms`` disables
+    constraints by label (the fronts validate the labels);
+    ``speculation_values`` enables out-of-thin-air valuations;
+    ``include_inconsistent`` yields every candidate with its
+    per-constraint report, disables the prunes and ignores
+    ``outcomes_only``.  ``stats`` receives the enumeration counters.
+    """
+    stats = stats if stats is not None else EnumStats()
+    st = Staging(program, model, kernel, stats)
+    elab, reads, all_writes = st.elab, st.reads, st.all_writes
+    orders = st.orders
+    ws = model.witnesses
+    co_eval = _co_checks(model, skip_axioms)
+    # Residual dispatch for the compiled kernel: a co rebind is a slot
+    # reset and each constraint a direct call into its generated checker
+    # (the CompiledEnv wrapper would re-resolve both per candidate).  The
+    # diagnostic path keeps the wrapper.
+    co_fns = None
+    if kernel == "compiled" and not include_inconsistent:
+        cmodel = st.env.model
+        co_bidx = cmodel.binding_index[ws.co_name]
+        co_reset = cmodel.reset_slots[ws.co_name]
+        co_fns = [(label, cmodel.formulas[id(f)]) for label, f in co_eval]
+    ms_pairs = [frozenset(pair) for pair in st.ms_write_pairs]
+
+    for rf_assignment, _, sc_variants in rf_sc_prefixes(
+        st, skip_axioms, include_inconsistent
+    ):
+        rf_source = {
+            read.eid: write.eid for read, write in zip(reads, rf_assignment)
+        }
+        # the plain-Relation view is only needed for yielded executions
+        rf_rel: Optional[Relation] = None
         for valuation in valuations(
             elab, rf_source, st.base_values, speculation_values,
             eids=st.val_eids,
@@ -495,8 +525,7 @@ def staged_candidates(
             ):
                 if co_orders is None:
                     co_orders = orders(ms_pairs, forced)
-                if co_fast is not None:
-                    co_bidx, co_reset, co_fns = co_fast
+                if co_fns is not None:
                     slots, bindings = env.frame.slots, env.frame.bindings
                 partial: Optional[Execution] = None
                 for co_order in co_orders:
@@ -506,7 +535,7 @@ def staged_candidates(
                     # the diagnostic path evaluates every constraint and
                     # reports each; the hot path stops at the first failure
                     report = dict(pre_report) if include_inconsistent else None
-                    if co_fast is not None:
+                    if co_fns is not None:
                         bindings[co_bidx] = co_order.rows
                         for i in co_reset:
                             slots[i] = None
@@ -541,10 +570,14 @@ def staged_candidates(
                                 ),
                             )
                             continue
-                        report = dict(all_true)
+                        # a consistent candidate's pre-report is all true
+                        report = dict(pre_report)
                     if partial is None:
                         if rf_rel is None:
-                            rf_rel = Relation(rf_pairs)
+                            rf_rel = Relation(
+                                (write, read)
+                                for read, write in zip(reads, rf_assignment)
+                            )
                         partial = st.static.with_relations(
                             rf=rf_rel, sc=sc_rel
                         )

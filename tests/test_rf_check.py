@@ -17,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fuzz.gen import generate_case
+from repro.lang import (
+    clear_compile_cache, compile_cache_stats, program_signature,
+)
 from repro.litmus import BY_NAME, SUITE, RunConfig, run_litmus
 from repro.litmus.compare import VARIANTS
 from repro.litmus.generator import generate
@@ -76,6 +79,27 @@ class TestQuickAgreement:
         assert saturated == enum
         assert enum_stats.candidates_checked == 2 ** n
         assert rf_stats.candidates_checked == 2 * n
+
+
+def test_engines_share_one_compiled_instance_per_signature():
+    """Enumerative and rf-check runs of the suite's in-fragment tests
+    compile one instance per program signature between them, and
+    rf-check never falls back.  A formula-list mismatch under the shared
+    ``("ptx", signature)`` key would otherwise only show as a silent
+    fallback."""
+    in_fragment = [test for test in SUITE if not _opts(test)]
+    clear_compile_cache()
+    try:
+        for test in in_fragment:
+            allowed_outcomes(test.program, kernel="compiled")
+        stats = EnumStats()
+        for test in in_fragment:
+            rf_check_outcomes(test.program, kernel="compiled", stats=stats)
+        signatures = {program_signature(t.program) for t in in_fragment}
+        assert compile_cache_stats()["instances"] == len(signatures)
+        assert stats.fallbacks == 0
+    finally:
+        clear_compile_cache()
 
 
 class TestFallback:
