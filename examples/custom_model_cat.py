@@ -7,8 +7,10 @@ judged against it.
 
 This example:
 
-1. loads the shipped ``ptx.cat`` and shows it agreeing with the built-in
-   spec on a litmus test's candidate executions;
+1. prints the PTX model as cat text, parses the text back, and shows the
+   parsed model judging a litmus test's candidate executions exactly as
+   the built-in spec does (the spec is the model's one definition; cat
+   is its text form, in and out);
 2. defines a *custom* strengthened model — "PTX, but all communication is
    globally ordered" (a multi-copy-atomic PTX) — and shows which standard
    suite behaviours it would additionally forbid (IRIW!), i.e. exactly
@@ -19,7 +21,7 @@ This example:
 Run:  python examples/custom_model_cat.py
 """
 
-from repro.cat import cat_consistent, load_model, parse_cat
+from repro.cat import cat_consistent, catmodel_to_cat, load_model, parse_cat
 from repro.litmus import BY_NAME, run_litmus
 from repro.ptx.model import build_env
 from repro.search import candidate_executions
@@ -36,8 +38,13 @@ acyclic com_strong | po as global_communication
 
 
 def agreement_demo() -> None:
-    print("1. ptx.cat vs the built-in spec on MP's candidate executions:")
-    ptx_cat = load_model("ptx")
+    print("1. PTX as cat text, parsed back, vs the built-in spec on MP:")
+    text = catmodel_to_cat(load_model("ptx"))
+    for line in text.splitlines():
+        if " as " in line:  # a constraint line, shortened
+            body, label = line.rsplit(" as ", 1)
+            print(f"   {body[:44]}{'...' if len(body) > 44 else ''} as {label}")
+    ptx_cat = parse_cat(text)
     program = BY_NAME["MP+rel_acq.gpu"].program
     agree = total = 0
     for candidate in candidate_executions(program, include_inconsistent=True):
@@ -51,7 +58,6 @@ def agreement_demo() -> None:
 
 def mca_strengthening() -> None:
     print("2. a custom strengthened model: PTX + global communication order")
-    ptx_cat = load_model("ptx")
     extra = parse_cat(MCA_EXTRA)
     for name in ("IRIW+rel_acq", "SB+rel_acq", "MP+rlx", "LB+weak"):
         test = BY_NAME[name]

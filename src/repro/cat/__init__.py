@@ -3,20 +3,18 @@
 from .interp import cat_consistent, check_cat, extend_env
 from .models import available_models, load_model
 from .parser import CatModel, CatSyntaxError, parse_cat, tokenize
-from .unparse import expr_to_cat, formula_to_cat, model_to_cat, ptx_to_cat
+from .unparse import catmodel_to_cat, expr_to_cat
 
 __all__ = [
     "CatModel",
     "CatSyntaxError",
     "available_models",
     "cat_consistent",
+    "catmodel_to_cat",
     "check_cat",
     "expr_to_cat",
     "extend_env",
-    "formula_to_cat",
     "load_model",
-    "model_to_cat",
     "parse_cat",
-    "ptx_to_cat",
     "tokenize",
 ]

@@ -16,9 +16,10 @@ finding, export):
 
 Supported syntax:
 
-* ``let name = expr`` — define a relation (later definitions may use it);
+* ``let name = expr`` — define a relation (later definitions may use it;
+  the builtins ``iden``/``id``/``emptyset`` cannot be rebound);
 * ``acyclic expr as name`` / ``irreflexive expr as name`` /
-  ``empty expr as name`` — constraints;
+  ``empty expr as name`` — constraints, each label used once;
 * expressions: ``|`` (union), ``&`` (intersection), ``\\`` (difference),
   ``;`` (composition), ``^-1`` (converse), postfix ``+``/``*``/``?``
   (closures), ``[S]`` (bracket/identity-restriction), ``( )``;
@@ -68,6 +69,9 @@ _TOKEN = re.compile(
 )
 
 _KEYWORDS = frozenset({"let", "acyclic", "irreflexive", "empty", "as", "and"})
+
+#: names the parser resolves itself; a ``let`` may not rebind them
+_BUILTINS = frozenset({"iden", "id", "emptyset"})
 
 
 @dataclass(frozen=True)
@@ -251,9 +255,15 @@ class _Parser:
             self.expect("op", ")")
             return inner
         if token.text == "[":
-            name = self.expect("name").text
+            name = self.expect("name")
             self.expect("op", "]")
-            return ast.Bracket(self._name_to_expr(name, arity=1))
+            inner = self._name_to_expr(name.text, arity=1)
+            if inner.arity != 1:
+                raise CatSyntaxError(
+                    f"[{name.text}] needs a set, but {name.text!r} is a "
+                    f"relation, at {name.location}"
+                )
+            return ast.Bracket(inner)
         if token.kind == "name":
             return self._name_to_expr(token.text, arity=2)
         raise CatSyntaxError(
@@ -287,7 +297,13 @@ class _Parser:
                     f"{token.location}"
                 )
             if token.text == "let":
-                defined = self.expect("name").text
+                defined_token = self.expect("name")
+                defined = defined_token.text
+                if defined in _BUILTINS:
+                    raise CatSyntaxError(
+                        f"cannot redefine builtin {defined!r} at "
+                        f"{defined_token.location}"
+                    )
                 self.expect("op", "=")
                 expr = self.parse_expr()
                 self.definitions[defined] = expr
@@ -295,10 +311,17 @@ class _Parser:
             elif token.text in ("acyclic", "irreflexive", "empty"):
                 expr = self.parse_expr()
                 label = f"{token.text}-{len(constraints)}"
+                label_token = token
                 nxt = self.peek()
                 if nxt is not None and nxt.kind == "keyword" and nxt.text == "as":
                     self.next()
-                    label = self.expect("name").text
+                    label_token = self.expect("name")
+                    label = label_token.text
+                if any(label == seen for seen, _ in constraints):
+                    raise CatSyntaxError(
+                        f"duplicate constraint label {label!r} at "
+                        f"{label_token.location}"
+                    )
                 if token.text == "acyclic":
                     formula: ast.Formula = ast.Acyclic(expr)
                 elif token.text == "irreflexive":

@@ -7,13 +7,11 @@ The round-trip property (unparse → parse → identical semantics) is tested
 in ``tests/test_cat_unparse.py``.
 
 Only emptiness/acyclicity/irreflexivity axioms translate directly (cat has
-no inclusion constraints); :func:`model_to_cat` rewrites ``a ⊆ b`` as
+no inclusion constraints); :func:`catmodel_to_cat` rewrites ``a ⊆ b`` as
 ``empty a \\ b``, which is equivalent.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from ..lang import ast
 
@@ -54,13 +52,8 @@ def expr_to_cat(expr: ast.Expr) -> str:
     raise TypeError(f"unknown expression node: {expr!r}")
 
 
-def _sanitize(name: str) -> str:
-    return name.lower().replace("-", "_").replace(" ", "_")
-
-
-def formula_to_cat(name: str, formula: ast.Formula) -> str:
-    """Render one axiom as a cat constraint line."""
-    label = _sanitize(name)
+def _constraint_to_cat(label: str, formula: ast.Formula) -> str:
+    """One constraint as a cat line, label preserved verbatim."""
     if isinstance(formula, ast.Acyclic):
         return f"acyclic {expr_to_cat(formula.expr)} as {label}"
     if isinstance(formula, ast.Irreflexive):
@@ -72,51 +65,17 @@ def formula_to_cat(name: str, formula: ast.Formula) -> str:
         difference = ast.Diff(formula.left, formula.right)
         return f"empty {expr_to_cat(difference)} as {label}"
     raise ValueError(
-        f"axiom {name!r} has no cat rendering: {formula!r}"
-    )
-
-
-def model_to_cat(
-    name: str,
-    derived: Mapping[str, ast.Expr],
-    axioms: Mapping[str, ast.Formula],
-) -> str:
-    """Render a whole model (definitions + constraints) as cat source.
-
-    ``derived`` entries whose expressions reference other derived names
-    must come after them — the iteration order is preserved, matching the
-    ``DERIVED`` dicts of the spec modules.
-    """
-    lines = [f'"{name}"', ""]
-    for defined, expr in derived.items():
-        lines.append(f"let {defined} = {expr_to_cat(expr)}")
-    lines.append("")
-    for axiom_name, formula in axioms.items():
-        lines.append(formula_to_cat(axiom_name, formula))
-    return "\n".join(lines) + "\n"
-
-
-def _constraint_to_cat(label: str, formula: ast.Formula) -> str:
-    """One parsed constraint back to cat, label preserved verbatim."""
-    if isinstance(formula, ast.Acyclic):
-        return f"acyclic {expr_to_cat(formula.expr)} as {label}"
-    if isinstance(formula, ast.Irreflexive):
-        return f"irreflexive {expr_to_cat(formula.expr)} as {label}"
-    if isinstance(formula, ast.NoF):
-        return f"empty {expr_to_cat(formula.expr)} as {label}"
-    raise ValueError(
         f"constraint {label!r} has no cat rendering: {formula!r}"
     )
 
 
 def catmodel_to_cat(model) -> str:
-    """Unparse a parsed :class:`~repro.cat.parser.CatModel` to cat source.
+    """Unparse a :class:`~repro.cat.parser.CatModel` to cat source.
 
-    Unlike :func:`model_to_cat` this preserves definition and constraint
-    names exactly (no sanitizing), so ``parse → unparse → parse`` is a
-    fixpoint: re-parsing the emitted text reproduces the same
-    :class:`CatModel` value.  The emitted definitions are the parser's
-    *inlined* expressions, so each ``let`` references only base names.
+    Definition and constraint names are kept verbatim, so
+    ``unparse → parse → unparse`` is byte-identical.  Each ``let``
+    prints its fully inlined expression (spec ASTs and parsed models
+    are both inlined), so it references only base names.
     """
     lines = [f'"{model.name}"', ""]
     for defined, expr in model.definitions:
@@ -126,14 +85,3 @@ def catmodel_to_cat(model) -> str:
         lines.append(_constraint_to_cat(label, formula))
     return "\n".join(lines) + "\n"
 
-
-def ptx_to_cat() -> str:
-    """The built-in PTX spec, unparsed to cat.
-
-    Note the derived expressions are *inlined* (the spec module's Python
-    values are already fully expanded), so this is semantically identical
-    to, but more verbose than, the hand-written ``models.PTX_CAT``.
-    """
-    from ..ptx import spec
-
-    return model_to_cat("PTX-generated", spec.DERIVED, spec.AXIOMS)

@@ -506,14 +506,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     )
 
     if args.format == "cat":
-        if args.model == "ptx":
-            from .cat.unparse import ptx_to_cat
+        from .cat import catmodel_to_cat, load_model
 
-            print(ptx_to_cat(), end="")
-            return 0
-        from .cat.models import _SOURCES
-
-        print(_SOURCES["scoped-rc11"].strip())
+        name = "scoped-rc11" if args.model == "rc11" else args.model
+        print(catmodel_to_cat(load_model(name)), end="")
         return 0
     exporters = {
         ("ptx", "alloy"): export_ptx_alloy,
@@ -1022,7 +1018,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_farm.set_defaults(func=_cmd_farm)
 
     p_exp = sub.add_parser(
-        "export", help="emit a model as Alloy or Coq text (Figures 13/16)"
+        "export", help="emit a model as Alloy, Coq or cat text (Figures 13/16)"
     )
     p_exp.add_argument("model", choices=["ptx", "rc11"])
     p_exp.add_argument("format", choices=["alloy", "coq", "cat"])

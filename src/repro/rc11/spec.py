@@ -16,6 +16,10 @@ Base relations expected in the environment: ``sb`` (sequenced-before),
 ``rmw`` (the identity on single-event RMWs).  Sets: ``R``, ``W``, ``F``,
 plus the order-qualified sets listed below.
 
+Two models extend this one at the bottom of the module, reusing its
+relation objects: IMM (``IMM_DERIVED``/``IMM_AXIOMS``) and repaired SC
+atomics (``REPAIRED_SC_DERIVED``/``REPAIRED_SC_AXIOMS``).
+
 Note on ``mo``: Figure 10 glosses it as "total order over atomic writes to
 each address"; following the RC11 development itself we totalise over *all*
 writes per address — for race-free programs the difference is unobservable,
@@ -99,11 +103,18 @@ hb_loc: Expr = hb & sloc
 #: SC base order ingredients (Figure 10b).
 scb: Expr = sb | seq(sb_nloc, hb, sb_nloc) | hb_loc | mo | rb
 
-psc_base: Expr = seq(
-    bracket(E_sc) | (bracket(F_sc) @ hb.opt()),
-    scb,
-    bracket(E_sc) | (hb.opt() @ bracket(F_sc)),
-)
+
+def _psc_base(base: Expr) -> Expr:
+    """The partial-SC order over an SC base order (SC accesses, or SC
+    fences extended by hb, at both ends)."""
+    return seq(
+        bracket(E_sc) | (bracket(F_sc) @ hb.opt()),
+        base,
+        bracket(E_sc) | (hb.opt() @ bracket(F_sc)),
+    )
+
+
+psc_base: Expr = _psc_base(scb)
 
 psc_f: Expr = seq(bracket(F_sc), hb | seq(hb, eco, hb), bracket(F_sc))
 
@@ -145,4 +156,65 @@ AXIOMS: Dict[str, Formula] = {
 AXIOMS_WITH_THIN_AIR: Dict[str, Formula] = {
     **AXIOMS,
     "No-Thin-Air": no_thin_air,
+}
+
+# ---------------------------------------------------------------------------
+# IMM (Podkopaev, Lahav, Vafeiadis, POPL 2019), scoped adaptation
+# ---------------------------------------------------------------------------
+# The RC11 relations and axioms above, plus an acyclicity condition over
+# preserved program order (syntactic dependencies and internal
+# reads-from), barrier-ordered-before and external reads-from: the
+# hardware-checkable no-thin-air guarantee that replaces RC11's dropped
+# (sb | rf) axiom.  Extra base relations: ``dep`` (syntactic
+# dependencies) and ``int`` (same-thread pairs).
+
+dep = rel("dep")
+internal = rel("int")
+
+rfi: Expr = rf & internal
+rfe: Expr = rf - internal
+
+#: preserved program order: a read ordered before a write by a chain of
+#: dependencies and internal reads-from.
+ppo: Expr = seq(bracket(R), (dep | rfi).plus(), bracket(W))
+
+#: barrier-ordered-before: fences and release/acquire accesses.
+bob: Expr = (
+    (sb @ bracket(F))
+    | (bracket(F) @ sb)
+    | (bracket(E_acq) @ sb)
+    | (sb @ bracket(E_rel))
+    | (bracket(E_rel) @ sb_loc)
+)
+
+ar: Expr = rfe | bob | ppo
+
+IMM_DERIVED: Dict[str, Expr] = {
+    **DERIVED, "rfi": rfi, "rfe": rfe, "ppo": ppo, "bob": bob, "ar": ar,
+}
+
+IMM_AXIOMS: Dict[str, Formula] = {**AXIOMS, "No-Thin-Air": Acyclic(ar)}
+
+# ---------------------------------------------------------------------------
+# repaired SC atomics (Batty, Donaldson, Wickerson: Overhauling SC Atomics)
+# ---------------------------------------------------------------------------
+# The SC base order is the whole of hb | mo | rb rather than RC11's
+# carved scb (which it contains term by term): a simpler, stronger SC
+# axiom.  Everything before scb is scoped RC11 verbatim.
+
+repaired_scb: Expr = hb | mo | rb
+
+repaired_psc_base: Expr = _psc_base(repaired_scb)
+
+repaired_psc: Expr = repaired_psc_base | psc_f
+
+REPAIRED_SC_DERIVED: Dict[str, Expr] = {
+    **DERIVED,
+    "scb": repaired_scb,
+    "psc_base": repaired_psc_base,
+    "psc": repaired_psc,
+}
+
+REPAIRED_SC_AXIOMS: Dict[str, Formula] = {
+    **AXIOMS, "SC": Acyclic(incl & repaired_psc),
 }

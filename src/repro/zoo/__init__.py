@@ -1,7 +1,7 @@
 """repro.zoo — the model zoo: memory models as data, compared N×N.
 
 The zoo turns model registration into declaration: a
-:class:`~repro.zoo.model.ZooModel` names a ``.cat`` axiom file, an event
+:class:`~repro.zoo.model.ZooModel` names a spec-defined model, an event
 signature (set predicates + base-relation builders from the shared
 registries), a witness spec, and optional containment claims.  The
 generic engine (:func:`zoo_outcomes`) enumerates any declared model; the

@@ -3,15 +3,15 @@
 Every :class:`~repro.zoo.model.ZooModel` runs on the staged rf → sc → co
 enumeration the native PTX engine uses
 (:func:`repro.search.staged.staged_candidates`).  This module translates
-a declaration into a :class:`~repro.search.staged.StagedModel`: the cat
-constraints become the constraint list (``co_forced_from`` resolves to
-the cat definition it names), the static environment binds the
+a declaration into a :class:`~repro.search.staged.StagedModel`: the
+spec's axioms become the constraint list (``co_forced_from`` resolves to
+the derived relation it names), the static environment binds the
 signature's event sets (:data:`PREDICATES`) and base relations
 (:data:`BUILDERS`; the rf-dependent ones, e.g. TSO's ``rfe``, are
 rebuilt per reads-from choice), and the declared
-:class:`~repro.zoo.model.RfDoom` is the loop's rf-stage prune.  The cat
-parser inlines ``let`` definitions, so constraints reference only the
-signature's names and the witnesses.
+:class:`~repro.zoo.model.RfDoom` is the loop's rf-stage prune.  Spec
+ASTs are inlined (each derived relation is a Python value), so
+constraints reference only the signature's names and the witnesses.
 
 Because different models disagree about which writes coherence orders
 (PTX leaves morally weak write pairs unordered, so racy locations

@@ -9,15 +9,18 @@ A zoo model is three declarations and nothing else:
 * a **witness spec** — which relations the model existentially
   quantifies over (the coherence-order style and name, and whether a
   runtime ``fence.sc`` order is enumerated);
-* the **axioms** — a ``.cat`` source shipped in
-  :mod:`repro.cat.models`, referenced by name.
+* the **axioms** — a spec module's ``DERIVED``/``AXIOMS`` tables,
+  referenced by name through :func:`repro.cat.models.load_model`, which
+  views them as a :class:`~repro.cat.parser.CatModel` (cat is the
+  model's text form: ``ptxmm export`` prints it, ``parse_cat`` reads
+  it back).
 
 Given those, the generic engine (:func:`repro.zoo.engine.zoo_outcomes`)
 runs the model on the staged enumeration the native PTX engine uses
-(:mod:`repro.search.staged`) and filters candidates through the cat
-constraints: adding a model to the repository means writing a ``.cat``
-file and one :class:`ZooModel` declaration — no new engine code.  A
-model may also declare an :class:`RfDoom` prune its axioms justify.
+(:mod:`repro.search.staged`) and filters candidates through the
+model's constraints: adding a model to the repository means writing
+its spec and one :class:`ZooModel` declaration — no new engine code.
+A model may also declare an :class:`RfDoom` prune its axioms justify.
 
 Models additionally declare **containment claims**: ``A ⊑ B`` asserts
 that every behaviour ``A`` allows, ``B`` allows too (``A`` is the
@@ -42,7 +45,7 @@ class EventSignature:
     cat relation names to base-relation builders.  Both name entries in
     the shared registries (:data:`repro.zoo.engine.PREDICATES` /
     :data:`repro.zoo.engine.BUILDERS`); the names on the left are
-    whatever the model's ``.cat`` file expects to find bound.
+    whatever the model's axioms expect to find bound.
     """
 
     #: ``(cat set name, predicate name)`` pairs
@@ -153,7 +156,7 @@ class ZooModel:
     """One registered memory model, declared entirely as data."""
 
     name: str
-    #: key into :data:`repro.cat.models._SOURCES` (the axioms)
+    #: the model's name in :func:`repro.cat.models.load_model` (the axioms)
     cat: str
     signature: EventSignature
     witnesses: WitnessSpec

@@ -6,6 +6,7 @@ from repro.cat import (
     CatSyntaxError,
     available_models,
     cat_consistent,
+    catmodel_to_cat,
     check_cat,
     load_model,
     parse_cat,
@@ -150,6 +151,27 @@ class TestErrorLocations:
         ):
             parse_cat("let a = let")
 
+    @pytest.mark.parametrize("builtin", ["iden", "id", "emptyset"])
+    def test_builtin_cannot_be_redefined(self, builtin):
+        with pytest.raises(
+            CatSyntaxError,
+            match=rf"redefine builtin '{builtin}' at line 2, column 5",
+        ):
+            parse_cat(f"let a = rf\nlet {builtin} = rf\nacyclic a as x")
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(
+            CatSyntaxError,
+            match=r"duplicate constraint label 'x' at line 2, column 15",
+        ):
+            parse_cat("acyclic rf as x\nacyclic co as x")
+
+    def test_bracketed_relation_is_a_syntax_error(self):
+        with pytest.raises(
+            CatSyntaxError, match=r"\[R\] needs a set.*line 2, column 10"
+        ):
+            parse_cat("let R = rf\nacyclic [R] ; po as x")
+
 
 def _Parser_next_on_empty():
     from repro.cat.parser import _Parser
@@ -193,21 +215,57 @@ class TestShippedModels:
             load_model("powerpc")
 
     def test_ptx_cat_parses_with_expected_interface(self):
-        model = load_model("ptx")
-        assert model.name == "PTX"
-        # the labels are the spec.AXIOMS names, so one vocabulary serves
-        # the native engine and the zoo's ptx (e.g. skip_axioms)
-        from repro.ptx import spec
-
-        assert [name for name, _ in model.constraints] == list(spec.AXIOMS)
+        assert load_model("ptx").name == "PTX"
+        # the labels are the spec's AXIOMS names, so one vocabulary
+        # serves the native engines and the zoo (e.g. skip_axioms)
+        for name, axioms in _spec_axioms().items():
+            model = load_model(name)
+            assert [label for label, _ in model.constraints] == list(axioms)
 
     def test_rc11_cat_parses(self):
         model = load_model("scoped-rc11")
         assert "hb" in dict(model.definitions)
 
+    def test_models_are_the_spec_objects(self):
+        """One definition per model: the shipped models hold the spec
+        modules' own AST objects, not equal copies."""
+        from repro.rc11 import spec as rc11_spec
+
+        for name in ("ptx", "tso", "sc", "scoped-rc11"):
+            axioms = _spec_axioms()[name]
+            for label, formula in load_model(name).constraints:
+                assert formula is axioms[label], (name, label)
+        for name in ("imm", "scoped-rc11-sc"):
+            model = load_model(name)
+            assert model.definition("hb") is rc11_spec.hb
+            assert model.definition("eco") is rc11_spec.eco
+            assert model.constraint("Coherence") is rc11_spec.coherence
+
+
+def _spec_axioms():
+    """Every shipped model's spec ``AXIOMS`` table, by model name."""
+    from repro.ptx import spec as ptx_spec
+    from repro.rc11 import spec as rc11_spec
+    from repro.scmodel import spec as sc_spec
+    from repro.tso import spec as tso_spec
+
+    return {
+        "ptx": ptx_spec.AXIOMS,
+        "tso": tso_spec.AXIOMS,
+        "sc": sc_spec.AXIOMS,
+        "scoped-rc11": rc11_spec.AXIOMS,
+        "imm": rc11_spec.IMM_AXIOMS,
+        "scoped-rc11-sc": rc11_spec.REPAIRED_SC_AXIOMS,
+    }
+
+
+def text_form(name):
+    """The shipped model printed as cat text and parsed back."""
+    return parse_cat(catmodel_to_cat(load_model(name)))
+
 
 class TestCatVsBuiltinPtx:
-    """The shipped ptx.cat must agree with repro.ptx.spec verdict-for-verdict."""
+    """PTX's cat text form judges candidates as the native engine does."""
 
     @pytest.mark.parametrize(
         "test_name",
@@ -219,7 +277,7 @@ class TestCatVsBuiltinPtx:
         from repro.ptx.model import build_env
         from repro.search import candidate_executions
 
-        model = load_model("ptx")
+        model = text_form("ptx")
         program = BY_NAME[test_name].program
         checked = 0
         for candidate in candidate_executions(
@@ -232,13 +290,15 @@ class TestCatVsBuiltinPtx:
 
 
 class TestCatVsBuiltinBaselines:
+    """The baselines' cat text forms agree with their native checkers."""
+
     def test_tso_cat_agreement(self):
         from repro.litmus import BY_NAME
         from repro.search.total_search import total_co_candidates
         from repro.tso import build_env as tso_env
         from repro.tso import check_execution as tso_check
 
-        model = load_model("tso")
+        model = text_form("tso")
         program = BY_NAME["SB+weak"].program
         for candidate in total_co_candidates(
             program, tso_check, include_inconsistent=True
@@ -252,7 +312,7 @@ class TestCatVsBuiltinBaselines:
         from repro.scmodel import check_execution as sc_check
         from repro.search.total_search import total_co_candidates
 
-        model = load_model("sc")
+        model = text_form("sc")
         program = BY_NAME["SB+weak"].program
         for candidate in total_co_candidates(
             program, sc_check, include_inconsistent=True
@@ -266,7 +326,7 @@ class TestCatVsBuiltinBaselines:
         from repro.rc11.model import build_env as rc11_env
         from repro.search.rc11_search import c_candidate_executions
 
-        model = load_model("scoped-rc11")
+        model = text_form("scoped-rc11")
         program = (
             CProgramBuilder("MP")
             .thread(device_thread(0, 0, 0))

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cat import available_models, load_model, parse_cat
-from repro.cat.unparse import (
+from repro.cat import (
+    CatModel,
+    available_models,
     catmodel_to_cat,
     expr_to_cat,
-    formula_to_cat,
-    model_to_cat,
-    ptx_to_cat,
+    load_model,
+    parse_cat,
 )
 from repro.lang import Env, ast, eval_expr, eval_formula
 from repro.relation import Relation
@@ -41,6 +41,19 @@ def expr_strategy():
     return st.recursive(base, extend, max_leaves=5)
 
 
+def constraint_line(label, formula):
+    """One constraint rendered by :func:`catmodel_to_cat`."""
+    text = catmodel_to_cat(CatModel("m", (), ((label, formula),)))
+    return text.splitlines()[-1]
+
+
+def as_emptiness(formula):
+    """``a ⊆ b`` read as ``empty (a \\ b)``, the form cat text parses to."""
+    if isinstance(formula, ast.Subset):
+        return ast.NoF(ast.Diff(formula.left, formula.right))
+    return formula
+
+
 def environments():
     pair = st.tuples(st.sampled_from(ATOMS), st.sampled_from(ATOMS))
     rel = st.frozensets(pair, max_size=6).map(Relation)
@@ -62,8 +75,7 @@ def test_expression_round_trip(expr, env):
 @settings(max_examples=100, deadline=None)
 def test_constraint_round_trip(expr, env):
     for formula in (ast.Acyclic(expr), ast.Irreflexive(expr), ast.NoF(expr)):
-        line = formula_to_cat("x", formula)
-        model = parse_cat(line)
+        model = parse_cat(constraint_line("x", formula))
         assert eval_formula(formula, env) == eval_formula(
             model.constraint("x"), env
         )
@@ -72,30 +84,40 @@ def test_constraint_round_trip(expr, env):
 @given(expr_strategy(), expr_strategy(), environments())
 @settings(max_examples=100, deadline=None)
 def test_subset_rewritten_as_emptiness(left, right, env):
-    line = formula_to_cat("x", ast.Subset(left, right))
-    model = parse_cat(line)
+    model = parse_cat(constraint_line("x", ast.Subset(left, right)))
     assert eval_formula(ast.Subset(left, right), env) == eval_formula(
         model.constraint("x"), env
     )
 
 
+def test_subset_constraint_renders_as_emptiness():
+    line = constraint_line("x", ast.Subset(r, s))
+    assert line == "empty (r \\ s) as x"
+
+
 class TestShippedModelFixpoint:
-    """parse → unparse → parse is a fixpoint for every shipped ``.cat``."""
+    """unparse → parse → unparse is a fixpoint for every shipped model."""
 
     @pytest.mark.parametrize("name", available_models())
     def test_fixpoint(self, name):
         model = load_model(name)
         text = catmodel_to_cat(model)
         reparsed = parse_cat(text)
-        assert reparsed == model
-        # and the unparse of the reparse is byte-identical: the cycle
-        # has genuinely converged, not merely alpha-equivalent
+        # the unparse of the reparse is byte-identical: the cycle has
+        # genuinely converged, not merely alpha-equivalent
         assert catmodel_to_cat(reparsed) == text
+        assert reparsed.definitions == model.definitions
+        # cat has no inclusion constraint: ptx's Coherence (a Subset)
+        # comes back as the equivalent emptiness of the difference
+        assert reparsed.constraints == tuple(
+            (label, as_emptiness(formula))
+            for label, formula in model.constraints
+        )
 
     @pytest.mark.parametrize("name", available_models())
     def test_labels_survive_verbatim(self, name):
-        """Unlike model_to_cat, catmodel_to_cat must not sanitize
-        constraint labels — downstream skip_axioms matching is exact."""
+        """catmodel_to_cat must not sanitize constraint labels —
+        downstream skip_axioms matching is exact."""
         model = load_model(name)
         reparsed = parse_cat(catmodel_to_cat(model))
         assert [n for n, _ in reparsed.constraints] == [
@@ -107,14 +129,14 @@ class TestShippedModelFixpoint:
 
     def test_generated_ptx_cat_also_reaches_fixpoint(self):
         """The unparse of the builtin spec converges after one parse."""
-        model = parse_cat(ptx_to_cat())
+        model = parse_cat(catmodel_to_cat(load_model("ptx")))
         assert parse_cat(catmodel_to_cat(model)) == model
 
 
 class TestGeneratedPtxCat:
     def test_parses(self):
-        model = parse_cat(ptx_to_cat())
-        assert model.name == "PTX-generated"
+        model = parse_cat(catmodel_to_cat(load_model("ptx")))
+        assert model.name == "PTX"
 
     def test_agrees_with_builtin_on_candidates(self):
         from repro.cat import cat_consistent
@@ -122,7 +144,9 @@ class TestGeneratedPtxCat:
         from repro.ptx.model import build_env
         from repro.search import candidate_executions
 
-        model = parse_cat(ptx_to_cat())
+        # the text form of the spec, Coherence's Subset rendered as an
+        # emptiness constraint, judges candidates as the native engine does
+        model = parse_cat(catmodel_to_cat(load_model("ptx")))
         program = BY_NAME["SB+fence.sc.gpu"].program
         for candidate in candidate_executions(
             program, include_inconsistent=True
@@ -135,9 +159,11 @@ class TestGeneratedPtxCat:
             expr_to_cat(r.product(s))
 
     def test_model_to_cat_structure(self):
-        text = model_to_cat(
-            "toy", {"fr": (~r) @ s}, {"Only": ast.Acyclic(ast.Var("fr"))}
-        )
+        text = catmodel_to_cat(CatModel(
+            "toy",
+            (("fr", (~r) @ s),),
+            (("Only", ast.Acyclic(ast.Var("fr"))),),
+        ))
         assert text.startswith('"toy"')
         assert "let fr = (r^-1 ; s)" in text
-        assert "acyclic fr as only" in text
+        assert "acyclic fr as Only" in text

@@ -277,7 +277,7 @@ class TestGenericEngineAgreement:
 
     def test_cat_free_names_walked_once_per_model(self, monkeypatch):
         """A second run of the same model re-walks none of its AST."""
-        from repro.cat.models import IMM_CAT, parse_cat
+        from repro.cat import catmodel_to_cat, load_model, parse_cat
         from repro.lang import ast
         from repro.zoo import zoo_outcomes
 
@@ -290,7 +290,7 @@ class TestGenericEngineAgreement:
 
         monkeypatch.setattr(ast, "free_vars", counting)
         # a freshly parsed model is walked on first use only
-        fresh = parse_cat(IMM_CAT)
+        fresh = parse_cat(catmodel_to_cat(load_model("imm")))
         first = fresh.free_names
         assert walks
         walks.clear()
