@@ -1,6 +1,12 @@
 """The TSO baseline model (paper Figure 2)."""
 
-from .model import TsoReport, build_env, check_execution
-from .spec import AXIOMS, DERIVED
+from .. import _lazy_exports
+
+#: module (relative to this package) -> the names exported from it
+_EXPORTS = {
+    ".model": ("TsoReport", "build_env", "check_execution"),
+    ".spec": ("AXIOMS", "DERIVED"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = ["AXIOMS", "DERIVED", "TsoReport", "build_env", "check_execution"]

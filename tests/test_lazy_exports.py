@@ -23,6 +23,9 @@ LAZY_PACKAGES = (
     "repro.litmus",
     "repro.sat",
     "repro.cert",
+    "repro.rc11",
+    "repro.tso",
+    "repro.scmodel",
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -155,6 +158,28 @@ def test_record_modules_import_only_the_standard_library():
     assert out.split() == [
         "repro", "repro.cert", "repro.cert.records", "repro.sat",
         "repro.sat.records", "repro.search", "repro.search.records",
+    ]
+
+
+def test_shipped_models_load_no_native_checker():
+    """The model library reads the spec modules only: loading every
+    shipped model imports no native checker, elaborator or event type."""
+    out = run_python(
+        """
+        import sys
+        from repro.cat.models import available_models, load_model
+
+        before = set(sys.modules)
+        for name in available_models():
+            load_model(name)
+        print(*sorted(m for m in set(sys.modules) - before
+                      if m.startswith("repro")))
+        """
+    )
+    assert out.split() == [
+        "repro.ptx", "repro.ptx.spec", "repro.rc11", "repro.rc11.spec",
+        "repro.scmodel",
+        "repro.scmodel.spec", "repro.tso", "repro.tso.spec",
     ]
 
 
