@@ -17,7 +17,7 @@ finding, export):
 Supported syntax:
 
 * ``let name = expr`` — define a relation (later definitions may use it;
-  the builtins ``iden``/``id``/``emptyset`` cannot be rebound);
+  the builtins ``iden``/``id``/``emptyset``/``0`` cannot be rebound);
 * ``acyclic expr as name`` / ``irreflexive expr as name`` /
   ``empty expr as name`` — constraints, each label used once;
 * expressions: ``|`` (union), ``&`` (intersection), ``\\`` (difference),
@@ -62,7 +62,7 @@ _TOKEN = re.compile(
   | (?P<line_comment>//[^\n]*)
   | (?P<string>"[^"]*")
   | (?P<converse>\^-1)
-  | (?P<name>[A-Za-z_][\w.-]*)
+  | (?P<name>[A-Za-z_][\w.-]*|0(?![\w.-]))
   | (?P<op>[|&\\;+*?()\[\]=])
     """,
     re.VERBOSE | re.DOTALL,
@@ -71,7 +71,8 @@ _TOKEN = re.compile(
 _KEYWORDS = frozenset({"let", "acyclic", "irreflexive", "empty", "as", "and"})
 
 #: names the parser resolves itself; a ``let`` may not rebind them
-_BUILTINS = frozenset({"iden", "id", "emptyset"})
+#: (``0`` is herd's spelling of the empty relation)
+_BUILTINS = frozenset({"iden", "id", "emptyset", "0"})
 
 
 @dataclass(frozen=True)

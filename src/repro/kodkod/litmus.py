@@ -35,8 +35,9 @@ from ..litmus.test import LitmusTest
 from ..ptx import spec as ptx_spec
 from ..ptx.events import Event, Sem
 from ..ptx.isa import AtomOp
-from ..ptx.model import build_env, static_execution
+from ..ptx.static import signature_env, static_pass
 from ..relation import Relation
+from ..zoo.models import PTX
 from .bounds import Bounds, Universe
 from .finder import Instance, instances, solve
 from .translate import Translator
@@ -182,10 +183,11 @@ def encode_litmus(test: LitmusTest, include_condition: bool = True):
     so the certificate layer can translate the same problem and hand the
     resulting CNF/bounds to the independent checker.
     """
-    elab, init_events, static = static_execution(test.program)
-    events = static.events
-    # Reuse the concrete env builder for all the constant relations/sets.
-    env = build_env(static)
+    sp = static_pass(test.program)
+    elab, init_events, events = sp.elab, sp.init_events, sp.events
+    # the constant relations/sets: the PTX signature over the program's
+    # vocabulary, as every other engine reads it
+    env = signature_env(PTX.signature, sp)
 
     universe = Universe(tuple(events))
     bounds = Bounds(universe)
@@ -334,8 +336,8 @@ def symbolic_outcomes(
     from ..search.staged import co_maximal_memory
     from ..search.records import Outcome, register_sort_key
 
-    elab, init_events, static = static_execution(test.program)
-    events = static.events
+    sp = static_pass(test.program)
+    elab, init_events, events = sp.elab, sp.init_events, sp.events
     values = static_write_values(elab)
 
     def value_of(event: Event) -> int:
@@ -355,14 +357,9 @@ def symbolic_outcomes(
     # decode over bitsets: one cause evaluation per instance is
     # the oracle path's hot spot, and the retained memo carries the
     # rf/sc-independent subexpressions across instances
-    env = build_env(static, bitset=True)
+    env = signature_env(PTX.signature, sp, bitset=True)
     ms = env.lookup("morally_strong")
-    init_edges = Relation(
-        (init, w)
-        for init in init_events
-        for w in writes
-        if w.loc == init.loc and w is not init
-    )
+    init_edges = sp.init_co
 
     cause_expr = ptx_spec.DERIVED["cause"]
     outcomes = set()

@@ -35,8 +35,6 @@ and stay zero here.  No counter is part of the verdict digest.
 
 from __future__ import annotations
 
-import hashlib
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
@@ -419,6 +417,16 @@ class _TemplateBuilder:
             dyn_names=self.dyn_names,
             warm_names=self.warm_names,
             source=source,
+            binding_index=dict(self.dyn_index),
+            # per dynamic name, the slots a rebinding must invalidate
+            reset_slots={
+                name: tuple(
+                    i
+                    for i, node in enumerate(self.slot_nodes)
+                    if name in var_deps(node)
+                )
+                for name in self.dyn_names
+            },
         )
 
 
@@ -619,6 +627,8 @@ class _Template:
     dyn_names: Tuple[str, ...]
     warm_names: FrozenSet[str]
     source: str
+    binding_index: Dict[str, int]
+    reset_slots: Dict[str, Tuple[int, ...]]
 
 
 #: template cache: keyed by AST identity + staging; the stored template
@@ -704,22 +714,13 @@ class CompiledModel:
         self.exprs = {
             id(node): fn for node, fn in zip(template.exprs, e_fns)
         }
-        self.binding_index = {
-            name: i for i, name in enumerate(template.dyn_names)
-        }
+        self.binding_index = template.binding_index
+        self.reset_slots = template.reset_slots
         empty = env.empty_value(2)
         self.initial_bindings = tuple(
             _raw(env.bindings.get(name, empty))
             for name in template.dyn_names
         )
-        self.reset_slots = {
-            name: tuple(
-                i
-                for i, node in enumerate(template.slot_nodes)
-                if name in var_deps(node)
-            )
-            for name in template.dyn_names
-        }
         self.mutate_names = frozenset(mutate_names)
         self.nslots = len(template.slot_nodes)
 
@@ -894,21 +895,13 @@ def clear_compile_cache() -> None:
     COMPILE_STATS.hits = 0
 
 
-_SIGNATURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def program_signature(program) -> str:
     """A stable content hash of a litmus program (the instance-cache
     key component shared by ptx_search, rf_check, and the zoo).
 
-    Programs are frozen, so the hash is memoized per object — the
-    engines recompute it on every enumeration of the same test."""
-    cached = _SIGNATURES.get(program)
-    if cached is not None:
-        return cached
-    from ..litmus.serialize import canonical_json, program_to_dict
+    Programs are frozen, so the hash is memoized with the program's
+    static pass (:func:`repro.ptx.static.static_pass`) — the engines
+    recompute it on every enumeration of the same test."""
+    from ..ptx.static import static_pass
 
-    payload = canonical_json(program_to_dict(program))
-    signature = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    _SIGNATURES[program] = signature
-    return signature
+    return static_pass(program).signature

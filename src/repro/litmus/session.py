@@ -24,6 +24,8 @@ Design notes:
 
 from __future__ import annotations
 
+import functools
+import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -44,6 +46,7 @@ from .runner import (
     partition_opts,
 )
 from .serialize import (
+    canonical_json,
     config_from_dict,
     config_to_dict,
     result_from_dict,
@@ -98,6 +101,14 @@ class SessionStats:
         return line
 
 
+@functools.lru_cache(maxsize=64)
+def _rebuild_test(text: str) -> LitmusTest:
+    """A worker's copy of one serialized test, rebuilt once: the engine
+    tasks of one test that land on the same worker share its program,
+    and so its static pass (:func:`repro.ptx.static.static_pass`)."""
+    return test_from_dict(json.loads(text))
+
+
 def _execute_task(payload: Dict) -> Dict:
     """Worker-side entry point: one serialized task in, one result out.
 
@@ -105,7 +116,7 @@ def _execute_task(payload: Dict) -> Dict:
     worker processes).  All exceptions are folded into an ``error``
     result so the worker survives for the next task.
     """
-    test = test_from_dict(payload["test"])
+    test = _rebuild_test(canonical_json(payload["test"]))
     # the payload carries the *whole* serialized config: rebuilding from
     # a hand-picked field subset used to silently drop any config field
     # the subset didn't know about (e.g. engine knobs added later)
@@ -191,6 +202,7 @@ class Session:
         """
         started = time.perf_counter()
         results: Dict[int, LitmusResult] = {}
+        #: task index -> the search options it keeps, for cache misses
         misses: Dict[int, Dict] = {}
         keys: Dict[int, str] = {}
         for index, (test, config) in enumerate(tasks):
@@ -211,19 +223,28 @@ class Session:
                     continue
                 self.stats.cache_misses += 1
                 keys[index] = key
-            misses[index] = {
-                "test": test_to_dict(test),
-                "config": config_to_dict(config),
-                "opts": kept,
-            }
+            misses[index] = kept
         if misses:
             if self.jobs <= 1:
-                for index, payload in misses.items():
+                for index in misses:
                     test, config = tasks[index]
                     results[index] = self._run_local(test, config)
             else:
                 tests = {index: tasks[index][0] for index in misses}
-                results.update(self._run_parallel(misses, tests))
+                # one serialization per test, however many engines run it
+                serialized: Dict[int, Dict] = {}
+                for test in tests.values():
+                    if id(test) not in serialized:
+                        serialized[id(test)] = test_to_dict(test)
+                payloads = {
+                    index: {
+                        "test": serialized[id(tests[index])],
+                        "config": config_to_dict(tasks[index][1]),
+                        "opts": kept,
+                    }
+                    for index, kept in misses.items()
+                }
+                results.update(self._run_parallel(payloads, tests))
         for index in keys:
             result = results[index]
             if result.status == "ok":

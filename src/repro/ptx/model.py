@@ -13,13 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.execution import Execution, program_order, same_location
-from ..core.scopes import mutually_inclusive
-from ..lang import Env, eval_expr, eval_formula, relation_env
+from ..core.execution import Execution
+from ..lang import Env, eval_expr, eval_formula
 from ..relation import Relation
+from ..zoo.models import PTX
 from . import spec
-from .events import Event, Sem, init_write, is_init
-from .program import Elaboration, Program, elaborate
+from .events import Event, is_init
+from .program import Elaboration, Program
+from .static import (  # noqa: F401 — moral_strength stays importable here
+    Vocabulary,
+    moral_strength,
+    signature_env,
+    static_pass,
+)
 
 
 def static_execution(
@@ -27,52 +33,15 @@ def static_execution(
 ) -> Tuple[Elaboration, Tuple[Event, ...], Execution]:
     """A program's candidate-execution skeleton, witnesses empty.
 
-    Elaborates ``program`` and appends one init write per location (eids
-    after the program's events).  Returns ``(elaboration, init events,
-    execution)``; the execution binds ``po``, ``rmw``, ``dep`` and
-    ``syncbarrier``, with ``rf``, ``co`` and ``sc`` empty.
+    Returns ``(elaboration, init events, execution)`` from the program's
+    memoized :func:`~repro.ptx.static.static_pass`: the execution holds
+    the elaborated events and one init write per location (eids after
+    the program's events), binding ``po``, ``rmw``, ``dep`` and
+    ``syncbarrier``, with ``rf``, ``co`` and ``sc`` empty.  Every engine
+    reading the program shares it, so its relations are read-only.
     """
-    elab = elaborate(program)
-    init_events = tuple(
-        init_write(eid=len(elab.events) + index, loc=loc)
-        for index, loc in enumerate(program.locations)
-    )
-    empty = Relation.empty(2)
-    execution = Execution(events=elab.events + init_events, relations={
-        "po": program_order(elab.by_thread), "rf": empty, "co": empty,
-        "sc": empty, "rmw": elab.rmw, "dep": elab.dep,
-        "syncbarrier": elab.syncbarrier,
-    })
-    return elab, init_events, execution
-
-
-def moral_strength(events: Tuple[Event, ...], po: Relation) -> Relation:
-    """The morally-strong relation (§8.6).
-
-    Two distinct operations are morally strong iff
-
-    1. they are related in program order, **or** each is strong and names a
-       scope including the thread executing the other; and
-    2. if both are memory operations, they overlap (same location).
-
-    The relation is symmetric by construction.
-    """
-    pairs: List[Tuple[Event, Event]] = []
-    events = tuple(events)
-    for a in events:
-        for b in events:
-            if a is b:
-                continue
-            if a.is_memory and b.is_memory and a.loc != b.loc:
-                continue
-            if (a, b) in po or (b, a) in po:
-                pairs.append((a, b))
-                continue
-            if not (a.is_strong and b.is_strong):
-                continue
-            if mutually_inclusive(a.thread, a.scope, b.thread, b.scope):
-                pairs.append((a, b))
-    return Relation(pairs)
+    sp = static_pass(program)
+    return sp.elab, sp.init_events, sp.execution
 
 
 def build_env(execution: Execution, bitset: bool = False) -> Env:
@@ -80,53 +49,18 @@ def build_env(execution: Execution, bitset: bool = False) -> Env:
 
     ``execution.relations`` must already provide the witness relations
     ``po``, ``rf``, ``co``, ``sc``, ``rmw``, ``dep`` and ``syncbarrier``;
-    everything else (event-class sets, ``sloc``, ``po_loc``,
-    ``morally_strong``) is derived here from the events themselves.
+    the rest is the PTX signature (:data:`repro.zoo.models.PTX`) over the
+    execution's vocabulary (:mod:`repro.ptx.static`): the event-class
+    sets, ``sloc``, ``po_loc`` and ``morally_strong``.
 
     ``bitset`` selects the dense bitset representation (what the
     compiled kernel folds its constants in) over the frozenset-backed
     :class:`Relation` default.  Verdicts are identical either way.
     """
-    events = execution.events
-    po = execution.relation("po")
-    sloc = same_location(events)
-    bindings: Dict[str, Relation] = {
-        "po": po,
-        "sloc": sloc,
-        "po_loc": po & sloc,
-        "rf": execution.relation("rf"),
-        "co": execution.relation("co"),
-        "sc": execution.relation("sc"),
-        "rmw": execution.relation("rmw"),
-        "dep": execution.relation("dep"),
-        "syncbarrier": execution.relation("syncbarrier"),
-        "morally_strong": moral_strength(events, po),
-        "R": Relation.set_of(e for e in events if e.is_read),
-        "W": Relation.set_of(e for e in events if e.is_write),
-        "F": Relation.set_of(e for e in events if e.is_fence),
-        "W_rel": Relation.set_of(
-            e for e in events if e.is_write and e.sem.releases
-        ),
-        "R_acq": Relation.set_of(
-            e for e in events if e.is_read and e.sem.acquires
-        ),
-        "W_strong": Relation.set_of(
-            e for e in events if e.is_write and e.is_strong
-        ),
-        "R_strong": Relation.set_of(
-            e for e in events if e.is_read and e.is_strong
-        ),
-        "F_rel": Relation.set_of(
-            e for e in events if e.is_fence and e.sem.releases
-        ),
-        "F_acq": Relation.set_of(
-            e for e in events if e.is_fence and e.sem.acquires
-        ),
-        "F_sc": Relation.set_of(
-            e for e in events if e.is_fence and e.sem is Sem.SC
-        ),
-    }
-    return relation_env(events, bindings, sets=spec.BASE_SETS, bitset=bitset)
+    env = signature_env(PTX.signature, Vocabulary(execution), bitset)
+    for name in ("rf", "co", "sc"):
+        env.bindings[name] = env.to_kernel(execution.relation(name))
+    return env
 
 
 @dataclass(frozen=True)

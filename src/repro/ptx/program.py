@@ -153,9 +153,12 @@ class WriteRecipe:
 
 @dataclass(frozen=True)
 class Elaboration:
-    """The result of lowering a program to events."""
+    """The result of lowering a program to events.
 
-    program: Program
+    It holds no reference back to the program, so memoizing it per
+    program (:func:`repro.ptx.static.static_pass`) never keeps the program
+    alive."""
+
     events: Tuple[Event, ...]
     by_thread: Tuple[Tuple[Event, ...], ...]
     rmw: Relation
@@ -287,7 +290,6 @@ def elaborate(program: Program) -> Elaboration:
                 sync_pairs.append((a, b))
 
     return Elaboration(
-        program=program,
         events=tuple(events),
         by_thread=tuple(by_thread),
         rmw=Relation(rmw_pairs),

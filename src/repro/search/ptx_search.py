@@ -8,22 +8,23 @@ determine the program's allowed outcomes.
 
 The enumeration is the shared staged loop of :mod:`.staged`; this module
 is its PTX front.  :data:`PTX_STAGED` hands the loop the axioms of
-:mod:`repro.ptx.spec`, the environment of :func:`repro.ptx.model.build_env`
-and the witness spec and rf prune of the one PTX declaration
-(:data:`repro.zoo.models.PTX`, which the zoo's cat-driven ``ptx`` reads
-too).  Compiled instances are keyed by ``("ptx", program signature)``
+:mod:`repro.ptx.spec` and the signature, witness spec and rf prune of the
+one PTX declaration (:data:`repro.zoo.models.PTX`, which the zoo's
+cat-driven ``ptx`` reads too); the static environment is that signature
+over the program's vocabulary (:func:`repro.ptx.static.signature_env`).  Compiled instances are keyed by ``("ptx", program signature)``
 and shared with the rf-check engine (:mod:`.rf_check`), whose model is
 this one with :data:`RF_CAUSALITY` moved into the constraints.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from ..lang import Irreflexive, rel
 from ..ptx import spec
-from ..ptx.model import build_env
 from ..ptx.program import Program
+from ..ptx.static import signature_env
 from ..registry import DEFAULT_KERNEL
 from ..zoo.models import PTX
 # EnumStats and register_sort_key stay importable from here
@@ -40,9 +41,7 @@ RF_CAUSALITY = Irreflexive(rel("rf") @ spec.DERIVED["cause"])
 PTX_STAGED = StagedModel(
     constraints=tuple(spec.AXIOMS.items()),
     witnesses=PTX.witnesses,
-    env_factory=lambda staging, bitset: build_env(
-        staging.static, bitset=bitset
-    ),
+    env_factory=partial(signature_env, PTX.signature),
     compile_key=("ptx",),
     forced=spec.DERIVED[PTX.witnesses.co_forced_from],
     extra_formulas=(("__rf_causality__", RF_CAUSALITY),),

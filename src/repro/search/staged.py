@@ -22,6 +22,15 @@ and the zoo (:mod:`repro.zoo.engine`) iterate.  The rf-check engine
    (``partial-ms``), or a per-location total order (``total``);
 5. check the co-dependent constraints only.
 
+Most of what the loop needs before the rf stage depends on the program
+alone.  The events, the skeleton, the rf choices and bit positions, the
+coherence seeds and total orders, and every vocabulary entry a model's
+static environment binds come from the program's one static pass
+(:func:`repro.ptx.static.static_pass`), which every engine reading the
+program shares.  :class:`Staging` adds what is the model's own: its
+static environment and compiled instance, its sc orders and its rf
+prune.
+
 The default ``compiled`` kernel runs the constraints as per-test
 specialized functions over dense bitsets (:mod:`repro.lang.compile`),
 called directly from the loop: binding ``co`` keeps every co-independent
@@ -35,29 +44,27 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
-    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, Mapping,
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, Mapping,
     Optional, Sequence, Tuple,
 )
 
 from ..core.deadline import check_deadline
-from ..core.execution import Execution, by_location
+from ..core.execution import Execution
 from ..core.scopes import ThreadId
-from ..lang import CompiledEnv, compiled_model, program_signature, var_deps
+from ..lang import CompiledEnv, compiled_model, var_deps
 from ..ptx.events import Event, Sem
-from ..ptx.model import ConsistencyReport, static_execution
+from ..ptx.model import ConsistencyReport
 from ..ptx.program import Elaboration, Program
+from ..ptx.static import static_pass
 from ..registry import DEFAULT_KERNEL
 from ..relation import BitRel, Relation
-from .posets import (
-    oriented_orders,
-    oriented_orders_incremental,
-    total_coherence_orders,
-)
+from .posets import oriented_orders, oriented_orders_incremental
 from .records import EnumStats, Outcome, register_sort_key
 from .values import valuations
 
 if TYPE_CHECKING:
     from ..lang import Expr, Formula
+    from ..ptx.static import StaticPass
     from ..zoo.model import RfDoom, WitnessSpec
 
 
@@ -160,7 +167,8 @@ class StagedModel:
     candidate satisfies, in report order; ``witnesses`` declares the
     quantified relations, and ``forced`` is the expression its
     ``co_forced_from`` names, resolved in the model's own vocabulary.
-    ``env_factory(staging, bitset)`` builds the static environment, which
+    ``env_factory(static_pass, bitset)`` builds the static environment
+    over the program's :class:`~repro.ptx.static.StaticPass`, which
     the compiled kernel builds once per ``compile_key`` plus program
     signature, compiling ``extra_formulas`` alongside for the engines
     sharing the instance.  ``rf_builders`` are the ``(name, fn(rf))``
@@ -170,7 +178,7 @@ class StagedModel:
 
     constraints: Tuple[Tuple[str, "Formula"], ...]
     witnesses: "WitnessSpec"
-    env_factory: Callable[["Staging", bool], object]
+    env_factory: Callable[["StaticPass", bool], object]
     compile_key: Tuple[str, ...]
     forced: Optional["Expr"] = None
     extra_formulas: Tuple[Tuple[str, "Formula"], ...] = ()
@@ -187,10 +195,17 @@ class StagedModel:
         )
 
 
+def _rebase(value: BitRel, space) -> BitRel:
+    """``value`` over ``space``, a universe of the same events in the
+    same order (its rows carry over unchanged)."""
+    return value if value.u is space else BitRel._make(space, value.rows)
+
+
 class Staging:
-    """Everything one program's enumeration computes before the rf loop:
-    the events, the static environment, the sc orders, the coherence
-    witness space and the rf prune."""
+    """One model's view of a program before the rf loop: the program's
+    static pass (:func:`~repro.ptx.static.static_pass`, shared by every
+    engine reading the program), the model's static environment, the sc
+    orders, the coherence witness space and the rf prune."""
 
     def __init__(
         self, program: Program, model: StagedModel, kernel: str,
@@ -200,24 +215,24 @@ class Staging:
             raise ValueError(f"unknown relation kernel {kernel!r}")
         ws = model.witnesses
         self.model, self.stats = model, stats
-        elab, init_events, self.static = static_execution(program)
-        self.elab, self.init_events = elab, init_events
-        events = self.events = self.static.events
-        po = self.po = self.static.relation("po")
-        self.base_values = {event.eid: 0 for event in init_events}
-        reads = self.reads = [e for e in elab.events if e.is_read]
-        self.all_writes = tuple(e for e in events if e.is_write)
-        writes_by_loc = self.writes_by_loc = by_location(self.all_writes)
-        self.rf_choices = [writes_by_loc[read.loc] for read in reads]
-        self.val_eids = sorted(
-            {read.eid for read in reads}
-            | set(elab.write_recipe) | set(self.base_values)
+        sp = static_pass(program)
+        self.elab, self.init_events, self.static = (
+            sp.elab, sp.init_events, sp.execution
         )
+        events, po = self.events, self.po = sp.events, sp.po
+        self.base_values = sp.base_values
+        reads = self.reads = sp.reads
+        self.all_writes = sp.all_writes
+        writes_by_loc = self.writes_by_loc = sp.writes_by_loc
+        self.rf_choices, self.val_eids = sp.rf_choices, sp.val_eids
 
+        # the pass's bitsets index its own universe; a compiled instance
+        # built for an equal program indexes that program's (same order)
+        space = None
         if kernel == "compiled":
             co_names = frozenset((ws.co_name,))
             self.env = env = CompiledEnv(compiled_model(
-                key=model.compile_key + (program_signature(program),),
+                key=model.compile_key + (sp.signature,),
                 formulas=model.constraints + model.extra_formulas,
                 exprs=(model.forced,) if model.forced is not None else (),
                 dynamic=("rf",)
@@ -226,11 +241,12 @@ class Staging:
                 + (ws.co_name,),
                 mutate=co_names,
                 warm_names=co_names,
-                env_factory=lambda: model.env_factory(self, True),
+                env_factory=lambda: model.env_factory(sp, True),
             ))
             self.orders = oriented_orders_incremental
+            space = env.model.env.space
         else:
-            self.env = env = model.env_factory(self, False)
+            self.env = env = model.env_factory(sp, False)
             env.stats = stats
             self.orders = oriented_orders
         empty_order = env.make_relation(())
@@ -256,40 +272,24 @@ class Staging:
             ]
 
         self.init_forced = empty_order
-        self.ms_write_pairs: List[Tuple[Event, Event]] = []
-        self.co_choices: Optional[list] = None
+        self.ms_write_pairs: Sequence[Tuple[Event, Event]] = ()
+        self.co_choices: Optional[Sequence] = None
         if ws.co_style == "partial-ms":
-            self.init_forced = env.make_relation(
-                (init, other)
-                for init in init_events
-                for other in writes_by_loc[init.loc]
-                if other is not init
-            )
-            # init edges seed every ``forced`` the co enumerator sees, so
-            # pairs they already orient can never come up undecided
-            init_closed = self.init_forced.closure()
-            self.ms_write_pairs = [
-                (a, b)
-                for writes in writes_by_loc.values()
-                for i, a in enumerate(writes)
-                for b in writes[i + 1:]
-                if (a, b) in ms
-                and (a, b) not in init_closed and (b, a) not in init_closed
-            ]
-            # same-location write pairs, diagonal included: restricting
-            # the forcing expression to co-seed edges is one intersection
-            self.ww_sloc = env.make_relation(
-                (a, b)
-                for group in writes_by_loc.values()
-                for a in group
-                for b in group
-            )
-        else:
+            self.ms_write_pairs = sp.ms_write_pairs
+            if space is None:
+                self.init_forced, self.ww_sloc = sp.init_co, sp.ww_sloc
+            else:
+                self.init_forced = _rebase(sp.init_co_bits, space)
+                self.ww_sloc = _rebase(sp.ww_sloc_bits, space)
+        elif space is None:
             # total style: the witness space is rf- and sc-independent,
-            # so it is built (in kernel form) once
+            # so every total-co model reads the pass's one copy
+            self.co_choices = sp.total_co
+        elif space is sp.universe:
+            self.co_choices = sp.total_co_bits
+        else:
             self.co_choices = [
-                env.to_kernel(order)
-                for order in total_coherence_orders(init_events, writes_by_loc)
+                _rebase(order, space) for order in sp.total_co_bits
             ]
 
         # A read of a po-later write to its own location closes an
@@ -310,16 +310,8 @@ class Staging:
         # under a bitset kernel each (write, read) rf pair resolves to its
         # (row, bit) once, so rebuilding rf per assignment is a few shifts
         self.rf_bits = self.space = None
-        if isinstance(empty_order, BitRel):
-            self.space = empty_order.u
-            index = self.space.index
-            self.rf_bits = [
-                {
-                    write: (index[write], 1 << index[read])
-                    for write in writes_by_loc[read.loc]
-                }
-                for read in reads
-            ]
+        if space is not None:
+            self.space, self.rf_bits = space, sp.rf_bits
 
 
 def _co_checks(model: StagedModel, skip_axioms: Tuple[str, ...]) -> list:

@@ -18,11 +18,10 @@ import itertools
 from typing import Callable, FrozenSet, Iterator, Sequence
 
 from ..core.deadline import check_deadline
-from ..core.execution import Execution, by_location
-from ..ptx.model import static_execution
+from ..core.execution import Execution
 from ..ptx.program import Program
+from ..ptx.static import static_pass
 from ..relation import Relation
-from .posets import total_coherence_orders
 from .ptx_search import Candidate
 from .records import Outcome
 from .values import valuations
@@ -39,14 +38,9 @@ def total_co_candidates(
     ``check`` maps an :class:`Execution` to a report object exposing
     ``consistent`` and ``axioms`` (e.g. :func:`repro.tso.check_execution`).
     """
-    elab, init_events, static = static_execution(program)
-    base_values = {event.eid: 0 for event in init_events}
-    reads = [e for e in elab.events if e.is_read]
-    writes_by_loc = by_location(e for e in static.events if e.is_write)
-    co_choices = list(total_coherence_orders(init_events, writes_by_loc))
-
-    rf_choices = [writes_by_loc[read.loc] for read in reads]
-    for rf_assignment in itertools.product(*rf_choices):
+    sp = static_pass(program)
+    elab, static, reads = sp.elab, sp.execution, sp.reads
+    for rf_assignment in itertools.product(*sp.rf_choices):
         check_deadline()
         rf_source = {
             read.eid: write.eid for read, write in zip(reads, rf_assignment)
@@ -54,8 +48,10 @@ def total_co_candidates(
         rf_rel = Relation(
             (write, read) for read, write in zip(reads, rf_assignment)
         )
-        for valuation in valuations(elab, rf_source, base_values, speculation_values):
-            for co_rel in co_choices:
+        for valuation in valuations(
+            elab, rf_source, sp.base_values, speculation_values
+        ):
+            for co_rel in sp.total_co:
                 execution = static.with_relations(rf=rf_rel, co=co_rel)
                 report = check(execution)
                 if getattr(report, "consistent", False) or include_inconsistent:

@@ -4,8 +4,8 @@ A zoo model is three declarations and nothing else:
 
 * an **event signature** — how PTX execution events are classified into
   the model's event sets, and which base relations the model's axioms
-  read (each relation names a builder from the shared registry in
-  :mod:`repro.zoo.engine`);
+  read (each relation names a builder from the shared vocabulary in
+  :mod:`repro.ptx.static`);
 * a **witness spec** — which relations the model existentially
   quantifies over (the coherence-order style and name, and whether a
   runtime ``fence.sc`` order is enumerated);
@@ -43,8 +43,8 @@ class EventSignature:
 
     ``sets`` maps cat set names to event predicates; ``relations`` maps
     cat relation names to base-relation builders.  Both name entries in
-    the shared registries (:data:`repro.zoo.engine.PREDICATES` /
-    :data:`repro.zoo.engine.BUILDERS`); the names on the left are
+    the shared vocabulary (:data:`repro.ptx.static.PREDICATES` /
+    :data:`repro.ptx.static.BUILDERS`); the names on the left are
     whatever the model's axioms expect to find bound.
     """
 

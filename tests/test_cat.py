@@ -74,6 +74,22 @@ class TestParser:
         model = parse_cat("let e = rf \\ iden\nacyclic e as x")
         assert isinstance(model.definition("e").right, ast.Iden)
 
+    def test_zero_is_the_empty_relation(self):
+        # herd spells the empty relation ``0``
+        model = parse_cat("let e = rf \\ 0\nacyclic e as x")
+        assert model.definition("e").right == ast.Empty(2)
+
+    def test_zero_in_brackets_is_the_empty_set(self):
+        model = parse_cat("empty [0] ; rf as x")
+        bracket = model.constraints[0][1].expr.left
+        assert bracket == ast.Bracket(ast.Empty(1))
+
+    def test_zero_is_not_a_name_prefix(self):
+        with pytest.raises(
+            CatSyntaxError, match=r"unexpected character '0' at line 1"
+        ):
+            parse_cat("let e = rf \\ 01\nacyclic e as x")
+
     def test_constraint_kinds(self):
         model = parse_cat(
             "acyclic rf as a\nirreflexive co as b\nempty po as c"
@@ -151,7 +167,7 @@ class TestErrorLocations:
         ):
             parse_cat("let a = let")
 
-    @pytest.mark.parametrize("builtin", ["iden", "id", "emptyset"])
+    @pytest.mark.parametrize("builtin", ["iden", "id", "emptyset", "0"])
     def test_builtin_cannot_be_redefined(self, builtin):
         with pytest.raises(
             CatSyntaxError,
@@ -202,6 +218,10 @@ class TestInterp:
             "let a = rf | co\nlet b = a+\nirreflexive b as x"
         )
         assert cat_consistent(model, self.make_env())
+
+    def test_zero_evaluates_empty(self):
+        model = parse_cat("let e = rf \\ 0\nempty e \\ rf as x\nempty 0 as z")
+        assert check_cat(model, self.make_env()) == {"x": True, "z": True}
 
 
 class TestShippedModels:

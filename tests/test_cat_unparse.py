@@ -138,22 +138,6 @@ class TestGeneratedPtxCat:
         model = parse_cat(catmodel_to_cat(load_model("ptx")))
         assert model.name == "PTX"
 
-    def test_agrees_with_builtin_on_candidates(self):
-        from repro.cat import cat_consistent
-        from repro.litmus import BY_NAME
-        from repro.ptx.model import build_env
-        from repro.search import candidate_executions
-
-        # the text form of the spec, Coherence's Subset rendered as an
-        # emptiness constraint, judges candidates as the native engine does
-        model = parse_cat(catmodel_to_cat(load_model("ptx")))
-        program = BY_NAME["SB+fence.sc.gpu"].program
-        for candidate in candidate_executions(
-            program, include_inconsistent=True
-        ):
-            env = build_env(candidate.execution)
-            assert cat_consistent(model, env) == candidate.report.consistent
-
     def test_unsupported_product_rejected(self):
         with pytest.raises(ValueError):
             expr_to_cat(r.product(s))
