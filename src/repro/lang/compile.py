@@ -35,6 +35,8 @@ and stay zero here.  No counter is part of the verdict digest.
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
@@ -895,13 +897,21 @@ def clear_compile_cache() -> None:
     COMPILE_STATS.hits = 0
 
 
+_SIGNATURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def program_signature(program) -> str:
     """A stable content hash of a litmus program (the instance-cache
     key component shared by ptx_search, rf_check, and the zoo).
 
-    Programs are frozen, so the hash is memoized with the program's
-    static pass (:func:`repro.ptx.static.static_pass`) — the engines
-    recompute it on every enumeration of the same test."""
-    from ..ptx.static import static_pass
+    Programs are frozen, so the hash is memoized per object — the
+    engines recompute it on every enumeration of the same test."""
+    cached = _SIGNATURES.get(program)
+    if cached is not None:
+        return cached
+    from ..litmus.serialize import canonical_json, program_to_dict
 
-    return static_pass(program).signature
+    payload = canonical_json(program_to_dict(program))
+    signature = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    _SIGNATURES[program] = signature
+    return signature

@@ -26,7 +26,6 @@ skeleton's relation mapping is read-only.
 from __future__ import annotations
 
 import functools
-import hashlib
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +37,7 @@ from ..core.execution import (
 )
 from ..core.scopes import mutually_inclusive
 from ..lang.biteval import BitEnv
+from ..lang.compile import program_signature
 from ..lang.eval import Env
 from ..relation import BitRel, BitSet, Relation, Universe
 from ..search.posets import total_coherence_orders
@@ -317,12 +317,10 @@ class StaticPass(Vocabulary):
 
     @cached_property
     def signature(self) -> str:
-        """A stable content hash of the program (the compiled-instance
-        cache key component)."""
-        from ..litmus.serialize import canonical_json, program_to_dict
-
-        payload = canonical_json(program_to_dict(self._program()))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """The program's content hash (:func:`repro.lang.program_signature`,
+        the compiled-instance cache key component), shared with every
+        equal program alive."""
+        return program_signature(self._program())
 
     # -- the rf side ---------------------------------------------------
 
@@ -400,23 +398,6 @@ class StaticPass(Vocabulary):
     @cached_property
     def ww_sloc_bits(self) -> BitRel:
         return BitRel.from_relation(self.universe, self.ww_sloc)
-
-    @cached_property
-    def ms_write_pairs(self) -> Tuple[Tuple[Event, Event], ...]:
-        """The morally strong same-location write pairs a ``partial-ms``
-        coherence witness orients: those the init edges leave open."""
-        ms = self.relation("morally_strong")
-        # init edges seed every ``forced`` the co enumerator sees, so
-        # pairs they already orient can never come up undecided
-        init_closed = self.init_co.closure()
-        return tuple(
-            (a, b)
-            for writes in self.writes_by_loc.values()
-            for i, a in enumerate(writes)
-            for b in writes[i + 1:]
-            if (a, b) in ms
-            and (a, b) not in init_closed and (b, a) not in init_closed
-        )
 
     @cached_property
     def total_co(self) -> Tuple[Relation, ...]:

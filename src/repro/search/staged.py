@@ -44,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
-    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, Mapping,
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, Mapping,
     Optional, Sequence, Tuple,
 )
 
@@ -272,15 +272,25 @@ class Staging:
             ]
 
         self.init_forced = empty_order
-        self.ms_write_pairs: Sequence[Tuple[Event, Event]] = ()
+        self.ms_write_pairs: List[Tuple[Event, Event]] = []
         self.co_choices: Optional[Sequence] = None
         if ws.co_style == "partial-ms":
-            self.ms_write_pairs = sp.ms_write_pairs
             if space is None:
                 self.init_forced, self.ww_sloc = sp.init_co, sp.ww_sloc
             else:
                 self.init_forced = _rebase(sp.init_co_bits, space)
                 self.ww_sloc = _rebase(sp.ww_sloc_bits, space)
+            # init edges seed every ``forced`` the co enumerator sees, so
+            # pairs they already orient can never come up undecided
+            init_closed = self.init_forced.closure()
+            self.ms_write_pairs = [
+                (a, b)
+                for writes in writes_by_loc.values()
+                for i, a in enumerate(writes)
+                for b in writes[i + 1:]
+                if (a, b) in ms
+                and (a, b) not in init_closed and (b, a) not in init_closed
+            ]
         elif space is None:
             # total style: the witness space is rf- and sc-independent,
             # so every total-co model reads the pass's one copy
