@@ -295,8 +295,6 @@ class Staging:
             # total style: the witness space is rf- and sc-independent,
             # so every total-co model reads the pass's one copy
             self.co_choices = sp.total_co
-        elif space is sp.universe:
-            self.co_choices = sp.total_co_bits
         else:
             self.co_choices = [
                 _rebase(order, space) for order in sp.total_co_bits
