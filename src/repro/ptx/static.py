@@ -57,17 +57,19 @@ def moral_strength(events: Tuple[Event, ...], po: Relation) -> Relation:
     The relation is symmetric by construction.
     """
     pairs = []
-    events = tuple(events)
-    for a in events:
-        for b in events:
+    po_pairs = po.tuples
+    # each event's classification, read once instead of once per pair
+    facts = [(e, e.is_memory, e.is_strong) for e in events]
+    for a, a_memory, a_strong in facts:
+        for b, b_memory, b_strong in facts:
             if a is b:
                 continue
-            if a.is_memory and b.is_memory and a.loc != b.loc:
+            if a_memory and b_memory and a.loc != b.loc:
                 continue
-            if (a, b) in po or (b, a) in po:
+            if (a, b) in po_pairs or (b, a) in po_pairs:
                 pairs.append((a, b))
                 continue
-            if not (a.is_strong and b.is_strong):
+            if not (a_strong and b_strong):
                 continue
             if mutually_inclusive(a.thread, a.scope, b.thread, b.scope):
                 pairs.append((a, b))
@@ -291,8 +293,9 @@ class StaticPass(Vocabulary):
     ``execution`` is the candidate-execution skeleton: the elaborated
     events followed by one init write per location (eids after the
     program's), binding ``po``, ``rmw``, ``dep`` and ``syncbarrier``, with
-    ``rf``, ``co`` and ``sc`` empty.  The rf-side tables and coherence
-    spaces are computed on first use.
+    ``rf``, ``co`` and ``sc`` empty.  The rf-side tables every staged
+    engine reads are built with the pass; the signature, the coherence
+    spaces and the vocabulary on first use.
     """
 
     def __init__(self, program: Program) -> None:
@@ -301,19 +304,45 @@ class StaticPass(Vocabulary):
             init_write(eid=len(elab.events) + index, loc=loc)
             for index, loc in enumerate(program.locations)
         )
+        events = elab.events + init_events
         empty = Relation.empty(2)
-        super().__init__(Execution(
-            events=elab.events + init_events,
-            relations=MappingProxyType({
-                "po": program_order(elab.by_thread), "rf": empty,
-                "co": empty, "sc": empty, "rmw": elab.rmw, "dep": elab.dep,
-                "syncbarrier": elab.syncbarrier,
-            }),
-        ))
+        relations = MappingProxyType({
+            "po": program_order(elab.by_thread), "rf": empty, "co": empty,
+            "sc": empty, "rmw": elab.rmw, "dep": elab.dep,
+            "syncbarrier": elab.syncbarrier,
+        })
+        super().__init__(Execution(events=events, relations=relations))
         self.elab = elab
         self.init_events = init_events
         self.program_events = elab.events
+        self.universe = Universe(events)
         self._program = weakref.ref(program)
+
+        # the rf side
+        reads = self.reads = tuple(e for e in elab.events if e.is_read)
+        self.all_writes = tuple(e for e in events if e.is_write)
+        writes_by_loc = self.writes_by_loc = {
+            loc: tuple(writes)
+            for loc, writes in by_location(self.all_writes).items()
+        }
+        #: per read (in ``reads`` order), the writes it may read
+        self.rf_choices = tuple(writes_by_loc[read.loc] for read in reads)
+        #: the init writes' stored values
+        self.base_values = {event.eid: 0 for event in init_events}
+        #: the eids a valuation assigns: reads, writes, init writes
+        self.val_eids = tuple(sorted(
+            {read.eid for read in reads}
+            | set(elab.write_recipe) | set(self.base_values)
+        ))
+        # per read, each candidate write's (row, bit) in an rf bitset:
+        # building rf for an assignment is a few shifts.  Indices are
+        # positions in the skeleton's event order, so they hold in any
+        # universe over these events.
+        index = self.universe.index
+        self.rf_bits = tuple(
+            {write: (index[write], 1 << index[read]) for write in choices}
+            for read, choices in zip(reads, self.rf_choices)
+        )
 
     @cached_property
     def signature(self) -> str:
@@ -322,73 +351,20 @@ class StaticPass(Vocabulary):
         equal program alive."""
         return program_signature(self._program())
 
-    # -- the rf side ---------------------------------------------------
-
-    @cached_property
-    def reads(self) -> Tuple[Event, ...]:
-        return tuple(e for e in self.elab.events if e.is_read)
-
-    @cached_property
-    def all_writes(self) -> Tuple[Event, ...]:
-        return tuple(e for e in self.events if e.is_write)
-
-    @cached_property
-    def writes_by_loc(self) -> Dict[str, Tuple[Event, ...]]:
-        return {
-            loc: tuple(writes)
-            for loc, writes in by_location(self.all_writes).items()
-        }
-
-    @cached_property
-    def rf_choices(self) -> Tuple[Tuple[Event, ...], ...]:
-        """Per read (in :attr:`reads` order), the writes it may read."""
-        return tuple(self.writes_by_loc[read.loc] for read in self.reads)
-
-    @cached_property
-    def base_values(self) -> Dict[int, int]:
-        """The init writes' stored values."""
-        return {event.eid: 0 for event in self.init_events}
-
-    @cached_property
-    def val_eids(self) -> Tuple[int, ...]:
-        """The eids a valuation assigns: reads, writes, init writes."""
-        return tuple(sorted(
-            {read.eid for read in self.reads}
-            | set(self.elab.write_recipe) | set(self.base_values)
-        ))
-
-    @cached_property
-    def rf_bits(self) -> Tuple[Dict[Event, Tuple[int, int]], ...]:
-        """Per read, each candidate write's ``(row, bit)`` in an rf
-        bitset: building rf for an assignment is a few shifts.  Indices
-        are positions in the skeleton's event order, so they hold in any
-        universe over these events."""
-        index = self.universe.index
-        return tuple(
-            {write: (index[write], 1 << index[read]) for write in choices}
-            for read, choices in zip(self.reads, self.rf_choices)
-        )
-
     # -- the coherence side --------------------------------------------
 
-    @cached_property
-    def init_co(self) -> Relation:
+    def _init_co_pairs(self):
         """The co edges every coherence order holds: init writes first."""
-        return Relation(
+        return (
             (init, other)
             for init in self.init_events
             for other in self.writes_by_loc[init.loc]
             if other is not init
         )
 
-    @cached_property
-    def init_co_bits(self) -> BitRel:
-        return BitRel.from_relation(self.universe, self.init_co)
-
-    @cached_property
-    def ww_sloc(self) -> Relation:
+    def _ww_sloc_pairs(self):
         """Same-location write pairs, diagonal included."""
-        return Relation(
+        return (
             (a, b)
             for group in self.writes_by_loc.values()
             for a in group
@@ -396,8 +372,20 @@ class StaticPass(Vocabulary):
         )
 
     @cached_property
+    def init_co(self) -> Relation:
+        return Relation(self._init_co_pairs())
+
+    @cached_property
+    def init_co_bits(self) -> BitRel:
+        return BitRel.from_pairs(self.universe, self._init_co_pairs())
+
+    @cached_property
+    def ww_sloc(self) -> Relation:
+        return Relation(self._ww_sloc_pairs())
+
+    @cached_property
     def ww_sloc_bits(self) -> BitRel:
-        return BitRel.from_relation(self.universe, self.ww_sloc)
+        return BitRel.from_pairs(self.universe, self._ww_sloc_pairs())
 
     @cached_property
     def total_co(self) -> Tuple[Relation, ...]:
