@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -404,10 +405,14 @@ class StaticPass(Vocabulary):
         )
 
 
-#: id(program) -> (weak reference to it, its pass).  Identity, not
-#: equality: a lookup never hashes the program, and equal but distinct
-#: programs share no pass.  The reference's callback drops the entry.
-_PASSES: Dict[int, Tuple["weakref.ref", StaticPass]] = {}
+#: id(program) -> (weak reference to it, its pass), least recently used
+#: first.  Identity, not equality: a lookup never hashes the program,
+#: and equal but distinct programs share no pass.  The reference's
+#: callback drops the entry with its program; the cap bounds what
+#: long-lived programs (stored verdicts, say) keep alive, as the
+#: compiled-instance cache does.
+_PASSES: "OrderedDict[int, Tuple[weakref.ref, StaticPass]]" = OrderedDict()
+_PASS_CAP = 256
 
 
 def _forget(key: int, ref: "weakref.ref") -> None:
@@ -418,11 +423,15 @@ def _forget(key: int, ref: "weakref.ref") -> None:
 
 def static_pass(program: Program) -> StaticPass:
     """``program``'s static pass, computed on first use and kept until
-    the program is dropped."""
+    the program is dropped or is no longer among the most recently used
+    :data:`_PASS_CAP`."""
     key = id(program)
     entry = _PASSES.get(key)
     if entry is not None and entry[0]() is program:
+        _PASSES.move_to_end(key)
         return entry[1]
     sp = StaticPass(program)
     _PASSES[key] = (weakref.ref(program, functools.partial(_forget, key)), sp)
+    while len(_PASSES) > _PASS_CAP:
+        _PASSES.popitem(last=False)
     return sp

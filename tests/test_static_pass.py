@@ -150,6 +150,18 @@ class TestPassLifetime:
         gc.collect()
         assert sp() is None
 
+    def test_live_programs_keep_a_bounded_number_of_passes(self):
+        from repro.ptx import static
+
+        test = BY_NAME["MP+rel_acq.gpu"]
+        programs = [_twin(test).program for _ in range(static._PASS_CAP + 8)]
+        passes = [weakref.ref(static.static_pass(p)) for p in programs]
+        assert len(static._PASSES) <= static._PASS_CAP
+        gc.collect()
+        # the least recently used pass went, though its program lives on
+        assert passes[0]() is None
+        assert passes[-1]() is static.static_pass(programs[-1])
+
     def test_equal_programs_share_no_mutable_state(self):
         from repro.ptx.static import static_pass
 
