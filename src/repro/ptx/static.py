@@ -8,8 +8,9 @@ candidate-execution skeleton, one atom :class:`~repro.relation.Universe`,
 and the event sets and base relations its model's signature names.
 :func:`static_pass` computes that side once per
 :class:`~repro.ptx.program.Program` *object*, memoized weakly by
-identity: the pass is dropped with its program, and two equal but
-distinct programs get independent passes.
+identity: the pass is dropped with its program (or once 256 more
+recently used programs have passes), and two equal but distinct
+programs get independent passes.
 
 The vocabulary is two tables, :data:`PREDICATES` (event sets) and
 :data:`BUILDERS` (base relations).  A :class:`Vocabulary` computes each
