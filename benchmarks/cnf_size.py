@@ -1,17 +1,18 @@
 """CNF size of the symbolic encoding over the litmus suite.
 
-Translates every suite test the SAT encoding accepts (the condition
-included, as ``--engine symbolic`` decides it) without solving, and
-prints each test's variable and clause counts plus the totals quoted in
-EXPERIMENTS.md ("Symbolic translation")::
+Reads every suite test's shared PTX problem
+(:func:`repro.kodkod.litmus.ptx_problem`, one translation per program
+and condition) with the condition asserted, as ``--engine symbolic``
+decides it, without solving, and prints each test's variable and clause
+counts plus the totals quoted in EXPERIMENTS.md ("Symbolic
+translation")::
 
     PYTHONPATH=src python benchmarks/cnf_size.py [--per-test]
 """
 
 import argparse
 
-from repro.kodkod.finder import translate_problem
-from repro.kodkod.litmus import UnsupportedCondition, encode_litmus
+from repro.kodkod.litmus import UnsupportedCondition, ptx_problem
 from repro.litmus import SUITE
 
 
@@ -20,10 +21,9 @@ def suite_cnf_sizes():
     sizes = {}
     for test in SUITE:
         try:
-            goal, bounds, configure = encode_litmus(test)
+            cnf = ptx_problem(test).translation(condition=True).cnf
         except UnsupportedCondition:
             continue
-        cnf = translate_problem(goal, bounds, configure).cnf
         sizes[test.name] = (cnf.num_vars, len(cnf.clauses))
     return sizes
 

@@ -4,7 +4,9 @@ The paper's §5.3 argument machine-checks the *metatheory*; this module
 machine-checks the *per-test verdicts*.  :func:`certify_symbolic` decides
 a litmus test with one bounded SAT query while logging a DRAT trace, then
 has the independent checker validate whichever artifact the polarity
-demands:
+demands, against exactly the CNF that was solved (the test's shared
+problem, :func:`repro.kodkod.litmus.ptx_problem`, with its condition
+asserted):
 
 * UNSAT (condition FORBIDDEN) — the trace must be a valid refutation of
   the original CNF (:func:`repro.cert.checker.check_unsat_proof`);
@@ -30,7 +32,7 @@ import hashlib
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..kodkod.finder import Instance, translate_problem
+from ..kodkod.finder import Instance
 from ..sat.records import SolverStats
 from ..sat.solver import Solver
 from .checker import CheckFailure, check_unsat_proof, check_witness
@@ -133,10 +135,9 @@ def certify_symbolic(test) -> Tuple[bool, Certificate, SolverStats]:
     when the test cannot be phrased relationally — callers fall back to
     the enumerative engine and attach a skipped certificate.
     """
-    from ..kodkod.litmus import encode_litmus
+    from ..kodkod.litmus import ptx_problem
 
-    goal, bounds, configure = encode_litmus(test)
-    translation = translate_problem(goal, bounds, configure)
+    translation = ptx_problem(test).translation(condition=True)
     logger = DratLogger()
     solver = Solver(translation.cnf, proof=logger)
     satisfiable = solver.solve()
@@ -152,8 +153,11 @@ def certify_symbolic(test) -> Tuple[bool, Certificate, SolverStats]:
 def certify_enumeration(test) -> Tuple[List[Instance], Certificate]:
     """Enumerate a test's axiom-consistent instances with a completeness proof.
 
-    Drives :func:`repro.kodkod.litmus.symbolic_consistent_instances` with
-    a DRAT logger attached and every blocking clause exposed, then checks:
+    Enumerates the test's shared problem
+    (:func:`repro.kodkod.litmus.ptx_problem`, condition unasserted, as
+    :func:`~repro.kodkod.litmus.symbolic_consistent_instances` reads it)
+    with a DRAT logger attached and every blocking clause exposed, then
+    checks:
 
     * the trace's extension steps are exactly the pushed blocking clauses
       (one per yielded instance, in order) — nothing was blocked that was
@@ -163,28 +167,15 @@ def certify_enumeration(test) -> Tuple[List[Instance], Certificate]:
 
     Returns the instances and the completeness certificate.
     """
-    from ..kodkod.litmus import encode_litmus
-    from ..relation import Relation
-    from ..sat.solver import enumerate_models
+    from ..kodkod.finder import enumerate_translation
+    from ..kodkod.litmus import ptx_problem
 
-    goal, bounds, configure = encode_litmus(test, include_condition=False)
-    translation = translate_problem(goal, bounds, configure)
+    translation = ptx_problem(test).translation(condition=False)
     logger = DratLogger()
     blocking: List[List[int]] = []
-    found = [
-        Instance(
-            relations={
-                name: Relation(tuples)
-                for name, tuples in translation.decode(model).items()
-            }
-        )
-        for model in enumerate_models(
-            translation.cnf,
-            projection=translation.projection_vars(),
-            proof=logger,
-            blocking_out=blocking,
-        )
-    ]
+    found = list(
+        enumerate_translation(translation, proof=logger, blocking_out=blocking)
+    )
     extensions = [list(lits) for kind, lits in logger.steps if kind == EXTEND]
     if extensions != blocking:
         return found, Certificate(

@@ -30,6 +30,7 @@ deterministic ``MANIFEST.json``.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -250,6 +251,44 @@ def load_checkpoint(path: str, config: FarmConfig) -> FarmReport:
     )
 
 
+#: the collector's thresholds while the farm loop runs on a warm heap.
+#: A case's engine garbage is short-lived, and at the default gen-0
+#: threshold of 700 most collections re-scan tables that stay alive.
+FARM_GC_THRESHOLD = (20000, 20, 20)
+
+
+class _SteadyCollector:
+    """The farm loop's garbage-collector settings, undone on exit.
+
+    :meth:`settle` (called once the first round has warmed the heap)
+    collects, freezes what survived (:func:`gc.freeze`) and raises the
+    thresholds to :data:`FARM_GC_THRESHOLD`.  Leaving the ``with``
+    block, however it is left, puts the caller's thresholds back and
+    unfreezes.  A collector the caller disabled, or one holding objects
+    the caller froze, is left alone.
+    """
+
+    def __init__(self) -> None:
+        self.saved: Optional[Tuple[int, int, int]] = None
+
+    def settle(self) -> None:
+        if self.saved or not gc.isenabled() or gc.get_freeze_count():
+            return
+        self.saved = gc.get_threshold()
+        gc.collect()
+        gc.freeze()
+        gc.set_threshold(*FARM_GC_THRESHOLD)
+
+    def __enter__(self) -> "_SteadyCollector":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.saved:
+            gc.set_threshold(*self.saved)
+            gc.unfreeze()
+            self.saved = None
+
+
 def _case_verdict_features(
     case_or_test, cycle: Optional[str], verdict: Optional[CaseVerdict]
 ) -> frozenset:
@@ -278,7 +317,10 @@ def run_farm(
     steering benchmark uses to time the coverage loop itself.
     ``progress`` is called after each round's checkpoint; an exception
     it raises aborts the run *after* the round was durably saved, which
-    the resume tests use to simulate kills.
+    the resume tests use to simulate kills.  From the second round on,
+    the warm heap is frozen and the collector runs less often
+    (:class:`_SteadyCollector`); the caller's settings are back when
+    ``run_farm`` returns or raises.
     """
     battery = tuple(checks) if checks is not None else default_checks(config.perturb)
     oracle = Oracle(
@@ -367,7 +409,8 @@ def run_farm(
             )
             report.found_total += 1
 
-    with Session(session_config) as session:
+    first_round = report.rounds
+    with _SteadyCollector() as collector, Session(session_config) as session:
         if config.seed_corpus and report.rounds == 0:
             # the documented suite exercises RMWs, dependencies, and
             # barriers — shapes outside the generator's vocabulary;
@@ -394,6 +437,8 @@ def run_farm(
                 batch = config.round_size
             if report.found_total >= config.max_found:
                 break
+            if report.rounds > first_round:
+                collector.settle()
 
             bias: Optional[GenBias] = None
             if config.steer and len(report.coverage):

@@ -84,9 +84,10 @@ def translate_problem(
 ) -> Translation:
     """Translate a bounded problem to CNF without solving it.
 
-    Public so the certificate layer (:mod:`repro.cert.verdict`) can hold
-    on to the translation — the original CNF and bounds are exactly what
-    an independent checker validates traces and witnesses against.
+    Public so a caller can hold on to the translation and query it more
+    than once (:func:`solve_translation`, :func:`enumerate_translation`);
+    the original CNF and bounds are also exactly what an independent
+    checker validates traces and witnesses against.
     """
     translator = Translator(bounds)
     if configure is not None:
@@ -187,12 +188,30 @@ def instances(
     logger records the solve, and every pushed blocking clause is exposed
     so enumeration completeness can be independently certified.
     """
-    translation = translate_problem(formula, bounds, configure)
-    projection = translation.projection_vars()
+    yield from enumerate_translation(
+        translate_problem(formula, bounds, configure),
+        limit=limit,
+        incremental=incremental,
+        stats=stats,
+        proof=proof,
+        blocking_out=blocking_out,
+    )
+
+
+def enumerate_translation(
+    translation: Translation,
+    limit: Optional[int] = None,
+    incremental: bool = True,
+    stats: Optional[List[SolverStats]] = None,
+    proof=None,
+    blocking_out: Optional[List[List[int]]] = None,
+) -> Iterator[Instance]:
+    """Enumerate a prepared translation's instances (see :func:`instances`),
+    recording solver stats on it."""
     sink = _StatsFanout(translation.solver_stats, stats)
     for model in enumerate_models(
         translation.cnf,
-        projection=projection,
+        projection=translation.projection_vars(),
         limit=limit,
         incremental=incremental,
         stats_out=sink,

@@ -21,12 +21,22 @@ Well-formedness, mirroring §3.4–3.5:
 Conditions are supported when register values are statically traceable to
 constant stores (true for every paper litmus test); value-dependent chains
 through RMWs fall back to the explicit enumerator.
+
+Each (program, condition) is translated once (:func:`ptx_problem`): the
+well-formedness and axiom CNF with the condition's Tseitin literal defined
+but not asserted, kept as tuples with the program's static pass.  The
+verdict query adds the literal as a unit clause, the instance enumeration
+reads the CNF as it is, and the certificate layer checks exactly what
+either of them solved.
 """
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..sat.cnf import FrozenCnf
 from ..sat.records import SolverStats
 
 from ..lang import ast
@@ -39,8 +49,8 @@ from ..ptx.static import signature_env, static_pass
 from ..relation import Relation
 from ..zoo.models import PTX
 from .bounds import Bounds, Universe
-from .finder import Instance, instances, solve
-from .translate import Translator
+from .finder import enumerate_translation, solve_translation
+from .translate import Translation, Translator
 
 
 class UnsupportedCondition(ValueError):
@@ -174,51 +184,43 @@ class _ConditionCompiler:
         raise UnsupportedCondition(f"unknown condition node {condition!r}")
 
 
-def encode_litmus(test: LitmusTest, include_condition: bool = True):
-    """Build the bounded relational problem for ``test``.
+@dataclass(frozen=True)
+class PtxProblem:
+    """A litmus test's bounded PTX problem, translated once.
 
-    Returns ``(goal, bounds, configure)`` ready for the model finder: the
-    well-formedness facts and the six PTX axioms, conjoined with the
-    compiled litmus condition when ``include_condition`` is set.  Public
-    so the certificate layer can translate the same problem and hand the
-    resulting CNF/bounds to the independent checker.
+    ``cnf`` is the witness well-formedness and the six axioms, with rf
+    exactly-one, under ``bounds`` (which also bind the condition's
+    constant relations exactly).  ``condition`` is the Tseitin literal
+    of the test's condition: its gates are in ``cnf`` but nothing asserts
+    it.  They only define that literal and constrain no relation
+    variable, so ``cnf`` alone has exactly the consistent instances, and
+    ``cnf`` plus the unit clause ``[condition]`` decides the condition.
+    When the condition cannot be phrased relationally ``condition`` is
+    None and ``unsupported`` says why.
     """
-    sp = static_pass(test.program)
-    elab, init_events, events = sp.elab, sp.init_events, sp.events
-    # the constant relations/sets: the PTX signature over the program's
-    # vocabulary, as every other engine reads it
-    env = signature_env(PTX.signature, sp)
 
-    universe = Universe(tuple(events))
-    bounds = Bounds(universe)
-    for name in ("po", "po_loc", "sloc", "rmw", "dep", "syncbarrier", "morally_strong"):
-        bounds.bound_exactly(name, env.lookup(name), arity=2)
-    for name in ptx_spec.BASE_SETS:
-        bounds.bound_exactly(name, env.lookup(name), arity=1)
+    bounds: Bounds
+    cnf: FrozenCnf
+    #: relation name -> (tuple -> SAT variable), for relations with slack
+    free_vars: Dict[str, Dict[tuple, int]]
+    condition: Optional[int]
+    unsupported: Optional[str] = None
 
-    reads = [e for e in events if e.is_read]
-    writes = [e for e in events if e.is_write]
-    rf_upper = [
-        (w, r) for r in reads for w in writes if w.loc == r.loc and w is not r
-    ]
-    bounds.bound("rf", 2, upper=rf_upper)
+    def translation(self, condition: bool) -> Translation:
+        """A fresh :class:`Translation` of the problem, with the
+        condition asserted if ``condition`` is set (raising
+        :class:`UnsupportedCondition` when it has no literal)."""
+        cnf = self.cnf
+        if condition:
+            if self.condition is None:
+                raise UnsupportedCondition(self.unsupported)
+            cnf = cnf.with_units((self.condition,))
+        return Translation(cnf=cnf, bounds=self.bounds, free_vars=self.free_vars)
 
-    co_lower = [
-        (init, w)
-        for init in init_events
-        for w in writes
-        if w.loc == init.loc and w is not init
-    ]
-    co_upper = [
-        (a, b) for a in writes for b in writes if a is not b and a.loc == b.loc
-    ]
-    bounds.bound("co", 2, lower=co_lower, upper=co_upper)
 
-    sc_fences = [e for e in events if e.is_fence and e.sem is Sem.SC]
-    sc_upper = [(a, b) for a in sc_fences for b in sc_fences if a is not b]
-    bounds.bound("sc", 2, upper=sc_upper)
-
-    # ---- well-formedness ----
+@functools.lru_cache(maxsize=None)
+def _ptx_goal() -> ast.Formula:
+    """Witness well-formedness (§3.4–3.5) conjoined with the six axioms."""
     co = ast.rel("co")
     sc = ast.rel("sc")
     ms_var = ast.rel("morally_strong")
@@ -237,25 +239,85 @@ def encode_litmus(test: LitmusTest, include_condition: bool = True):
         ast.Irreflexive(sc),
         ast.Subset(ms_fences, ast.Union_(sc, ast.Transpose(sc))),
     )
+    return ast.conj(well_formed, ast.conj(*ptx_spec.AXIOMS.values()))
 
-    axioms = ast.conj(*ptx_spec.AXIOMS.values())
 
-    parts = [well_formed, axioms]
-    if include_condition:
-        compiler = _ConditionCompiler(test, elab, events)
-        parts.append(compiler.compile(test.condition))
+def _translate(test: LitmusTest) -> PtxProblem:
+    """Build and translate ``test``'s problem (see :class:`PtxProblem`)."""
+    sp = static_pass(test.program)
+    elab, init_events, events = sp.elab, sp.init_events, sp.events
+    # the constant relations/sets: the PTX signature over the program's
+    # vocabulary, as every other engine reads it
+    env = signature_env(PTX.signature, sp)
+
+    bounds = Bounds(Universe(tuple(events)))
+    for name in ("po", "po_loc", "sloc", "rmw", "dep", "syncbarrier", "morally_strong"):
+        bounds.bound_exactly(name, env.lookup(name), arity=2)
+    for name in ptx_spec.BASE_SETS:
+        bounds.bound_exactly(name, env.lookup(name), arity=1)
+
+    reads = [e for e in events if e.is_read]
+    writes = [e for e in events if e.is_write]
+    rf_candidates = [
+        [(w, r) for w in writes if w.loc == r.loc and w is not r]
+        for r in reads
+    ]
+    bounds.bound("rf", 2, upper=[pair for group in rf_candidates for pair in group])
+
+    co_lower = [
+        (init, w)
+        for init in init_events
+        for w in writes
+        if w.loc == init.loc and w is not init
+    ]
+    co_upper = [
+        (a, b) for a in writes for b in writes if a is not b and a.loc == b.loc
+    ]
+    bounds.bound("co", 2, lower=co_lower, upper=co_upper)
+
+    sc_fences = [e for e in events if e.is_fence and e.sem is Sem.SC]
+    sc_upper = [(a, b) for a in sc_fences for b in sc_fences if a is not b]
+    bounds.bound("sc", 2, upper=sc_upper)
+
+    # the condition's constant relations must be bound before translation
+    unsupported: Optional[str] = None
+    compiler = _ConditionCompiler(test, elab, events)
+    try:
+        condition: Optional[ast.Formula] = compiler.compile(test.condition)
+    except UnsupportedCondition as exc:
+        condition, unsupported = None, str(exc)
+    else:
         for name, relation in compiler.consts.items():
             bounds.bound_exactly(name, relation, arity=2)
-    goal = ast.conj(*parts)
 
-    def configure(translator: Translator) -> None:
-        for read in reads:
-            candidates = [
-                (w, read) for w in writes if w.loc == read.loc and w is not read
-            ]
-            translator.exactly_one_of("rf", candidates)
+    translator = Translator(bounds)
+    for candidates in rf_candidates:
+        translator.exactly_one_of("rf", candidates)
+    translator.assert_formula(_ptx_goal())
+    literal = None if condition is None else translator.literal(condition)
+    return PtxProblem(
+        bounds=bounds,
+        cnf=translator.cnf.freeze(),
+        free_vars={
+            name: per_rel
+            for name, per_rel in translator.free_vars.items()
+            if per_rel
+        },
+        condition=literal,
+        unsupported=unsupported,
+    )
 
-    return goal, bounds, configure
+
+def ptx_problem(test: LitmusTest) -> PtxProblem:
+    """``test``'s PTX problem, translated on first use and kept with its
+    program's static pass, one per condition.  Every symbolic reader —
+    the verdict query, the instance enumeration, the certificates — sees
+    this one CNF, whichever asks first."""
+    problems = static_pass(test.program).sat_problems
+    problem = problems.get(test.condition)
+    if problem is None:
+        problem = problems[test.condition] = _translate(test)
+    return problem
 
 
 def symbolic_outcome_allowed(
@@ -268,8 +330,8 @@ def symbolic_outcome_allowed(
     condition (i.e. the outcome is *allowed*).  ``stats``, if given,
     receives the SAT call's :class:`SolverStats` snapshot.
     """
-    goal, bounds, configure = encode_litmus(test)
-    return solve(goal, bounds, configure=configure, stats=stats) is not None
+    translation = ptx_problem(test).translation(condition=True)
+    return solve_translation(translation, stats=stats) is not None
 
 
 def symbolic_consistent_instances(
@@ -287,13 +349,11 @@ def symbolic_consistent_instances(
     paper's §5.2 "enumerate all bounded instances" methodology, driven by
     the incremental solver so learned clauses persist across the whole
     enumeration (``incremental=False`` restores the per-instance rebuild
-    baseline for comparison).
+    baseline for comparison).  The CNF is :func:`ptx_problem`'s, with
+    the condition left unasserted.
     """
-    goal, bounds, configure = encode_litmus(test, include_condition=False)
-    return instances(
-        goal,
-        bounds,
-        configure=configure,
+    return enumerate_translation(
+        ptx_problem(test).translation(condition=False),
         limit=limit,
         incremental=incremental,
         stats=stats,

@@ -24,10 +24,10 @@ depend on the free witness relations reach the CNF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..lang import ast
-from ..sat.cnf import Cnf
+from ..sat.cnf import Cnf, FrozenCnf
 from ..sat.records import SolverStats
 from .bounds import Bounds
 
@@ -40,7 +40,9 @@ Matrix = Dict[Tuple[int, ...], int]
 class Translation:
     """The result of translating a problem: CNF plus variable maps."""
 
-    cnf: Cnf
+    #: a :class:`Cnf`, or the immutable :class:`FrozenCnf` a kept
+    #: problem holds (both read as ``num_vars`` and ``clauses``)
+    cnf: Union[Cnf, FrozenCnf]
     bounds: Bounds
     #: relation name -> (tuple -> SAT variable), for slack tuples only
     free_vars: Dict[str, Dict[tuple, int]] = field(default_factory=dict)

@@ -36,7 +36,7 @@ from .serialize import (
 # CACHE_SCHEMA_VERSION lives in repro.schema (one place, re-exported
 # here for compatibility); this module pins the version it was written
 # against so a half-applied bump fails at import, not at cache time.
-assert_schema("repro.litmus.cache", cache=9)
+assert_schema("repro.litmus.cache", cache=10)
 
 
 def code_salt() -> str:

@@ -33,7 +33,7 @@ from .conditions import AndC, Condition, MemEq, NotC, OrC, RegEq, TrueC
 # FORMAT_VERSION lives in repro.schema (one place, re-exported here);
 # this module pins the versions it renders so a half-applied schema bump
 # fails at import.
-assert_schema("repro.litmus.serialize", cache=9)
+assert_schema("repro.litmus.serialize", cache=10)
 
 
 def canonical_json(payload) -> str:

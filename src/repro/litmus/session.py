@@ -57,7 +57,7 @@ from .test import LitmusTest
 
 # worker IPC payloads and cached results share one schema version; a
 # half-bumped tree must fail here, not with mysterious worker errors
-assert_schema("repro.litmus.session", cache=9)
+assert_schema("repro.litmus.session", cache=10)
 
 
 @dataclass
@@ -174,13 +174,20 @@ class Session:
         return self._executor
 
     def _discard_executor(self) -> None:
+        """Drop a broken pool without waiting for it."""
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        self._discard_executor()
+        """Shut the worker pool down and wait for it (idempotent).
+
+        Waiting joins the workers and the pool's management thread, so
+        nothing is still writing to a worker pipe while the interpreter
+        exits."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
 
     def __enter__(self) -> "Session":
         return self

@@ -19,7 +19,9 @@ over its universe; :func:`signature_env` binds a model signature's names
 from it.  :class:`StaticPass` is the vocabulary of a program's skeleton,
 plus the tables the staged enumeration derives from the program alone
 (reads, rf choices, valuation eids, rf bit positions, coherence seeds and
-the total coherence orders).  Everything a pass hands out is shared by
+the total coherence orders).  It also keeps the program's translated SAT
+problems (:func:`repro.kodkod.litmus.ptx_problem`), so both symbolic
+engines read one translation.  Everything a pass hands out is shared by
 every engine that reads the program, so none of it may be mutated: the
 skeleton's relation mapping is read-only.
 """
@@ -319,6 +321,10 @@ class StaticPass(Vocabulary):
         self.program_events = elab.events
         self.universe = Universe(events)
         self._program = weakref.ref(program)
+        #: the program's translated SAT problems, one per litmus condition
+        #: (:func:`repro.kodkod.litmus.ptx_problem`); they live as long as
+        #: the pass
+        self.sat_problems: Dict[object, object] = {}
 
         # the rf side
         reads = self.reads = tuple(e for e in elab.events if e.is_read)

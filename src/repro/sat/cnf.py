@@ -17,9 +17,40 @@ identical clauses), so both kinds share one table.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 TRUE_LIT_NAME = "__true__"
+
+
+class FrozenCnf(NamedTuple):
+    """A finished formula as immutable tuples (:meth:`Cnf.freeze`).
+
+    Tuples of ints hold no reference the garbage collector has to follow,
+    so a long-lived formula costs the collector nothing once it has been
+    seen; the gate table that built it is not kept.  The solver and the
+    certificate checker read ``num_vars`` and ``clauses`` as they read a
+    :class:`Cnf`.
+    """
+
+    num_vars: int
+    clauses: Tuple[Tuple[int, ...], ...]
+    #: the constant-true variable, or None if the formula never used it
+    true_var: Optional[int] = None
+
+    def with_units(self, lits: Iterable[int]) -> "FrozenCnf":
+        """The formula plus one unit clause per literal, put first (a
+        solver simplifies the clauses it loads after a unit against it)."""
+        return self._replace(
+            clauses=tuple((lit,) for lit in lits) + self.clauses
+        )
+
+    def copy(self) -> "Cnf":
+        """A growable copy (a :class:`Cnf` without a gate table)."""
+        clone = Cnf()
+        clone.num_vars = self.num_vars
+        clone.clauses = [list(clause) for clause in self.clauses]
+        clone._true_lit = self.true_var
+        return clone
 
 
 class Cnf:
@@ -46,6 +77,19 @@ class Cnf:
         clone._true_lit = self._true_lit
         clone._gates = dict(self._gates)
         return clone
+
+    def freeze(self) -> FrozenCnf:
+        """The formula as it stands, as immutable tuples, last clause first.
+
+        A gate's clauses follow its inputs' and a translator asserts its
+        goal last, so reversed they read top-down: a solver loading them
+        meets the root units first and never attaches the clauses those
+        satisfy (about four in five of a litmus problem's)."""
+        return FrozenCnf(
+            self.num_vars,
+            tuple(tuple(clause) for clause in reversed(self.clauses)),
+            self._true_lit,
+        )
 
     def new_var(self) -> int:
         """Allocate a fresh variable and return it (as a positive literal)."""

@@ -39,6 +39,11 @@ History of cache-schema bumps:
   problem yields a smaller CNF; certificate digests (which cover the
   DRAT trace or witness over that CNF), and with them certified verdict
   digests, differ from v8 entries while polarity and status agree.
+* v10 — the symbolic engines share one translation per (program,
+  condition): the condition is a unit clause on its own Tseitin literal
+  beside the asserted axioms, not one conjunct of them, so the CNF a
+  certified verdict checks, and with it the certificate and verdict
+  digests, differ from v9 entries while polarity and status agree.
 
 Every consumer module pins the version it was written against via
 :func:`assert_schema` at import time.  A schema bump that edits this
@@ -50,7 +55,7 @@ under the new salt with the old shape.
 from __future__ import annotations
 
 #: Salts every content-addressed verdict key (cache, LRU tier, wire).
-CACHE_SCHEMA_VERSION = 9
+CACHE_SCHEMA_VERSION = 10
 
 #: The JSON serialization shape of tests/results.
 FORMAT_VERSION = 1

@@ -34,7 +34,7 @@ from ..litmus.test import LitmusTest
 from ..registry import partition_opts, resolve_engine, resolve_model
 from ..schema import CACHE_SCHEMA_VERSION, assert_schema
 
-assert_schema("repro.serve.protocol", cache=9)
+assert_schema("repro.serve.protocol", cache=10)
 
 #: wire format version; doubles as the URL prefix (``/v1/...``)
 WIRE_VERSION = 1

@@ -51,7 +51,7 @@ from .protocol import (
 )
 from .store import VerdictStore
 
-assert_schema("repro.serve.service", cache=9)
+assert_schema("repro.serve.service", cache=10)
 
 
 @dataclass(frozen=True)

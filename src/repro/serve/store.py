@@ -34,7 +34,7 @@ from ..schema import assert_schema
 
 # entries in memory must be interchangeable with entries on disk: both
 # carry the same schema-versioned payloads
-assert_schema("repro.serve.store", cache=9)
+assert_schema("repro.serve.store", cache=10)
 
 
 @dataclass

@@ -8,13 +8,17 @@ that is what lets nightly CI accumulate coverage across sessions.
 """
 
 import dataclasses
+import gc
 import json
+import subprocess
+import sys
 
 import pytest
 
 from repro.fuzz import GenBias, generate_case
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.farm import (
+    FARM_GC_THRESHOLD,
     FARM_SCHEMA,
     FarmConfig,
     FarmReport,
@@ -250,6 +254,51 @@ class TestFarmRuns:
             generate_case(11, i, bias).test != generate_case(11, i).test
             for i in range(4, 16)
         )
+
+
+class TestCollectorSettings:
+    """The farm tunes the garbage collector for its own loop only."""
+
+    def test_import_leaves_the_collector_alone(self):
+        probe = "import gc; {}print(gc.get_threshold(), gc.get_freeze_count())"
+        plain, imported = (
+            subprocess.run(
+                [sys.executable, "-c", probe.format(prefix)],
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for prefix in ("", "import repro, repro.api, repro.fuzz.farm; ")
+        )
+        assert imported == plain
+
+    def test_settings_restored_after_return_and_raise(self):
+        before = (gc.get_threshold(), gc.get_freeze_count())
+        seen = []
+
+        def watch(report):
+            seen.append(gc.get_threshold())
+
+        run_farm(_config(), checks=(), progress=watch)
+        assert (gc.get_threshold(), gc.get_freeze_count()) == before
+        # the loop did run tuned from its second round on
+        assert seen[0] == before[0] and seen[1:] == [FARM_GC_THRESHOLD] * 2
+
+        with pytest.raises(_Kill):
+            run_farm(_config(), checks=(), progress=_kill_after(2))
+        assert (gc.get_threshold(), gc.get_freeze_count()) == before
+
+    def test_disabled_collector_is_left_alone(self):
+        before = gc.get_threshold()
+        gc.disable()
+        try:
+            seen = []
+            run_farm(
+                _config(), checks=(),
+                progress=lambda report: seen.append(gc.get_threshold()),
+            )
+            assert seen == [before] * 3
+            assert gc.get_freeze_count() == 0 and not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 @pytest.mark.slow

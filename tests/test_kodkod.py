@@ -236,20 +236,19 @@ class TestConstantFolding:
 
     @staticmethod
     def _suite_translations():
-        from repro.kodkod.finder import translate_problem
-        from repro.kodkod.litmus import UnsupportedCondition, encode_litmus
+        from repro.kodkod.litmus import UnsupportedCondition, ptx_problem
         from repro.litmus import SUITE
 
         for test in SUITE:
             try:
-                goal, bounds, configure = encode_litmus(test)
+                translation = ptx_problem(test).translation(condition=True)
             except UnsupportedCondition:
                 continue
-            yield test.name, translate_problem(goal, bounds, configure)
+            yield test.name, translation
 
     def test_true_literal_only_in_its_unit_clause(self):
         for name, translation in self._suite_translations():
-            true = translation.cnf.true_lit()
+            true = translation.cnf.true_var
             wrapped = [
                 clause for clause in translation.cnf.clauses
                 if len(clause) > 1 and (true in clause or -true in clause)

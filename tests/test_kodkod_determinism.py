@@ -5,6 +5,8 @@ randomization: the emitted CNF (and therefore the DRAT certificate
 digest) for a given litmus problem has exactly one byte-level form.
 Regression cover for the translator's former raw ``set(...)`` unions in
 ``Union_``/``Inter``/``_square`` and its frozenset lower-bound iteration.
+The problem is the one shared by every symbolic reader
+(:func:`repro.kodkod.litmus.ptx_problem`), condition included.
 """
 
 import hashlib
@@ -14,24 +16,28 @@ import sys
 
 import pytest
 
-from repro.kodkod.finder import translate_problem
-from repro.kodkod.litmus import encode_litmus
-from repro.litmus import BY_NAME
+from repro.kodkod.litmus import ptx_problem
+from repro.litmus import BY_NAME, serialize
 
 
 def _translate(name):
-    goal, bounds, configure = encode_litmus(BY_NAME[name])
-    return translate_problem(goal, bounds, configure)
+    # a fresh copy of the test, so its program has a pass (and a
+    # problem) of its own
+    test = BY_NAME[name]
+    twin = serialize.test_from_dict(serialize.test_to_dict(test))
+    assert twin.program is not test.program
+    return ptx_problem(twin)
 
 
-def _fingerprint(translation):
-    """Everything observable about a translation, order included."""
-    cnf = translation.cnf
+def _fingerprint(problem):
+    """Everything observable about a problem, order included."""
+    cnf = problem.cnf
     return (
         cnf.num_vars,
-        [tuple(clause) for clause in cnf.clauses],
+        list(cnf.clauses),
+        problem.condition,
         {name: list(vars_.items())
-         for name, vars_ in translation.free_vars.items()},
+         for name, vars_ in problem.free_vars.items()},
     )
 
 
@@ -44,22 +50,23 @@ def test_fresh_translations_are_identical(name):
 
 _DIGEST_SCRIPT = """
 import hashlib, sys
-from repro.cert.verdict import certify_symbolic
-from repro.kodkod.finder import translate_problem
-from repro.kodkod.litmus import encode_litmus
+from repro.cert.verdict import certify_enumeration, certify_symbolic
+from repro.kodkod.litmus import ptx_problem
 from repro.litmus import BY_NAME
 
 test = BY_NAME[sys.argv[1]]
-goal, bounds, configure = encode_litmus(test)
-translation = translate_problem(goal, bounds, configure)
+problem = ptx_problem(test)
 digest = hashlib.sha256()
-digest.update(b"p cnf %d\\n" % translation.cnf.num_vars)
-for clause in translation.cnf.clauses:
+digest.update(b"p cnf %d\\n" % problem.cnf.num_vars)
+for clause in problem.cnf.clauses:
     digest.update((" ".join(map(str, clause)) + " 0\\n").encode())
+digest.update(b"c condition %d\\n" % problem.condition)
 observed, certificate, _ = certify_symbolic(test)
+found, completeness = certify_enumeration(test)
 print(digest.hexdigest())
 print(certificate.digest)
 print(int(observed))
+print(completeness.digest, len(found))
 """
 
 
@@ -82,5 +89,6 @@ def _digests_under_seed(name, seed):
 @pytest.mark.parametrize("name", ["CoRR", "IRIW+fence.sc"])
 def test_cnf_and_certificate_stable_across_hash_seeds(name):
     """Processes with different hash seeds emit byte-identical CNF and
-    the same certificate digest for the same litmus problem."""
+    the same verdict and enumeration-completeness certificate digests
+    for the same litmus problem."""
     assert _digests_under_seed(name, "1") == _digests_under_seed(name, "2")

@@ -130,13 +130,14 @@ class TestSchemaMigration:
         assert cache.get(new_key, test) is None  # miss, not an error
         assert cache.stats.misses == 1
 
-    def test_current_version_is_nine(self):
-        # v9: the folded, gate-sharing CNF translation changes certificate
-        # digests, and with them certified verdict digests (single
-        # source: repro.schema)
+    def test_current_version_is_ten(self):
+        # v10: the symbolic engines' shared translation asserts the
+        # condition as a unit clause, which changes certificate digests,
+        # and with them certified verdict digests (single source:
+        # repro.schema)
         from repro import schema
 
-        assert cache_mod.CACHE_SCHEMA_VERSION == 9
+        assert cache_mod.CACHE_SCHEMA_VERSION == 10
         assert schema.CACHE_SCHEMA_VERSION == cache_mod.CACHE_SCHEMA_VERSION
 
     def test_certify_flag_salts_key_under_any_version(self, monkeypatch):

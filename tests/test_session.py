@@ -1,6 +1,7 @@
 """Tests for the parallel execution session (pooling, cache, timeouts)."""
 
 import logging
+import multiprocessing
 import os
 
 import pytest
@@ -48,6 +49,17 @@ class TestDeterminism:
         assert [r.verdict for r in results] == [
             r.verdict for r in run_suite(PAPER_SUBSET[:3])
         ]
+
+
+class TestLifecycle:
+    def test_close_waits_for_the_workers(self):
+        """Leaving the block joins the pool's workers, so none is still
+        running (or being written to) while the interpreter exits."""
+        before = set(multiprocessing.active_children())
+        with Session(RunConfig(jobs=2)) as session:
+            session.run_suite(PAPER_SUBSET[:4])
+            assert set(multiprocessing.active_children()) - before
+        assert set(multiprocessing.active_children()) - before == set()
 
 
 class TestCacheIntegration:
