@@ -32,7 +32,8 @@ class Execution:
 
     def relation(self, name: str) -> Relation:
         """Fetch a base relation, defaulting to empty."""
-        return self.relations.get(name, Relation.empty(2))
+        found = self.relations.get(name)
+        return Relation.empty(2) if found is None else found
 
     def with_relations(self, **updates: Relation) -> "Execution":
         """A copy with the given relations added or replaced."""

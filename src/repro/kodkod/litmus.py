@@ -24,7 +24,8 @@ through RMWs fall back to the explicit enumerator.
 
 Each (program, condition) is translated once (:func:`ptx_problem`): the
 well-formedness and axiom CNF with the condition's Tseitin literal defined
-but not asserted, kept as tuples with the program's static pass.  The
+but not asserted, kept as tuples with the program's static pass and
+root-propagated once.  The
 verdict query adds the literal as a unit clause, the instance enumeration
 reads the CNF as it is, and the certificate layer checks exactly what
 either of them solved.
@@ -196,7 +197,9 @@ class PtxProblem:
     variable, so ``cnf`` alone has exactly the consistent instances, and
     ``cnf`` plus the unit clause ``[condition]`` decides the condition.
     When the condition cannot be phrased relationally ``condition`` is
-    None and ``unsupported`` says why.
+    None and ``unsupported`` says why.  ``cnf`` is root-propagated once
+    here (:meth:`~repro.sat.cnf.FrozenCnf.simplified`), so every solver
+    reading the problem loads only the clauses propagation leaves open.
     """
 
     bounds: Bounds
@@ -297,7 +300,7 @@ def _translate(test: LitmusTest) -> PtxProblem:
     literal = None if condition is None else translator.literal(condition)
     return PtxProblem(
         bounds=bounds,
-        cnf=translator.cnf.freeze(),
+        cnf=translator.cnf.freeze().simplified(),
         free_vars={
             name: per_rel
             for name, per_rel in translator.free_vars.items()

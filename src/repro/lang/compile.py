@@ -16,10 +16,12 @@ Three layers:
   AST node that depends on an enumerated rf/sc/co witness becomes a
   *slot* in a flat list, read through an inline cache probe at each
   reference site.  Static subtrees — everything independent of the
-  witnesses — fold to constants closed over the generated functions.
-* **Instance** (per model × test signature): the template's constants
-  evaluated over the concrete execution's bitset environment, cached in
-  an LRU so suites and the fuzz farm compile once per distinct program.
+  witnesses — fold to constants closed over the generated functions;
+  the generated factory computes them too, as straight-line code over
+  the raw static bindings.
+* **Instance** (per model × test signature): the template's factory run
+  over the concrete execution's bitset environment, cached in an LRU so
+  suites and the fuzz farm compile once per distinct program.
 * **Frame**: the per-search mutable state — one slot list plus the
   dynamic bindings — with ``bind`` forking for outer stages (rf, sc)
   and mutating in place for the innermost witness (co), mirroring
@@ -43,7 +45,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..relation import BitRel, BitSet
 from . import ast
-from .eval import UnboundRelation, _independent_roots, eval_expr, var_deps
+from .eval import UnboundRelation, _independent_roots, var_deps
 
 __all__ = [
     "CompileStats",
@@ -390,13 +392,15 @@ class _TemplateBuilder:
             e_names.append(name)
             self.fn_sources.append(_FnEmitter(self).expr_fn(name, expr))
 
-        lines = ["def _make(C, H, N):"]
+        lines = ["def _make(E, H, N):"]
         for key in (
             "acyclic", "irr_join", "no_inter", "no_join_inter",
             "jrr", "jrs", "jsr", "tc", "opt", "rtc", "trans",
             "diag", "prod", "u2", "i2", "d2", "sub2", "irr",
         ):
             lines.append(f"    _{key} = H[{key!r}]")
+        consts = _ConstEmitter(self)
+        lines.extend(consts.emit())
         for src in self.fn_sources:
             for line in src.splitlines():
                 lines.append("    " + line if line else line)
@@ -415,6 +419,7 @@ class _TemplateBuilder:
             formulas=self.formulas,
             exprs=self.exprs,
             const_nodes=tuple(self.const_nodes),
+            static_vars=tuple(consts.static_vars.items()),
             slot_nodes=tuple(self.slot_nodes),
             dyn_names=self.dyn_names,
             warm_names=self.warm_names,
@@ -617,6 +622,58 @@ class _FnEmitter:
         return self._shell(name, body, "r")
 
 
+class _ConstEmitter(_FnEmitter):
+    """Emits the template constants as straight-line code at the top of
+    ``_make``: one local per distinct static expression, computed from
+    its children with the helpers the witness-dependent code uses, then
+    packed into ``C`` in constant order.  The leaves are the raw static
+    bindings ``E`` (in :attr:`static_vars` order) and the universe-sized
+    literals (``univ``, ``iden``, ``none``)."""
+
+    def __init__(self, builder: _TemplateBuilder):
+        super().__init__(builder)
+        #: id(static node) -> the local holding its value
+        self.local: Dict[int, str] = {}
+        #: generated value expression -> the local holding it
+        self.by_value: Dict[str, str] = {}
+        #: static variable name -> its arity, in ``E`` order
+        self.static_vars: Dict[str, int] = {}
+        self.lines: List[str] = []
+
+    def emit(self) -> List[str]:
+        values = [
+            self.expr(node, self.lines, 1) for node in self.b.const_nodes
+        ]
+        pack = ", ".join(values) + ("," if len(values) == 1 else "")
+        self.lines.append(f"    C = ({pack})")
+        return self.lines
+
+    def expr(self, node, lines: List[str], depth: int) -> str:
+        name = self.local.get(id(node))
+        if name is not None:
+            return name
+        t = type(node)
+        if t is ast.Var:
+            if node.name not in self.static_vars:
+                self.static_vars[node.name] = node.arity
+            value = f"E[{list(self.static_vars).index(node.name)}]"
+        elif t is ast.Univ:
+            value = "((1 << N) - 1)"
+        elif t is ast.Iden:
+            value = "tuple(1 << i for i in range(N))"
+        elif t is ast.Empty:
+            value = "0" if node.arity == 1 else "(0,) * N"
+        else:
+            value = self.compute(node, lines, depth)
+        # structurally equal static nodes (distinct objects) share a local
+        name = self.by_value.get(value)
+        if name is None:
+            name = self.by_value[value] = f"k{len(self.by_value)}"
+            lines.append(f"    {name} = {value}")
+        self.local[id(node)] = name
+        return name
+
+
 @dataclass(frozen=True)
 class _Template:
     """A compiled model shape, independent of any concrete test."""
@@ -625,6 +682,9 @@ class _Template:
     formulas: Tuple[Tuple[str, ast.Formula], ...]
     exprs: Tuple[ast.Expr, ...]
     const_nodes: Tuple[ast.Expr, ...]
+    #: the static variables the constants read, ``(name, arity)`` in the
+    #: order the generated ``_make`` takes their raw values
+    static_vars: Tuple[Tuple[str, int], ...]
     slot_nodes: Tuple[ast.Expr, ...]
     dyn_names: Tuple[str, ...]
     warm_names: FrozenSet[str]
@@ -699,11 +759,22 @@ class CompiledModel:
     def __init__(self, template: _Template, env, mutate_names: FrozenSet[str]):
         self.template = template
         self.env = env
-        constants = [
-            _raw(eval_expr(node, env)) for node in template.const_nodes
-        ]
+        static = []
+        for name, arity in template.static_vars:
+            try:
+                value = env.bindings[name]
+            except KeyError:
+                raise UnboundRelation(name) from None
+            if value.arity is not None and value.arity != arity:
+                raise ValueError(
+                    f"binding for {name!r} has arity {value.arity}, "
+                    f"expected {arity}"
+                )
+            static.append(_raw(value))
+        # the generated factory folds the template constants over the raw
+        # static bindings before closing the checkers over them
         f_fns, w_fns, e_fns = template.factory(
-            constants, _HELPERS, env.space.n
+            static, _HELPERS, env.space.n
         )
         self.formulas = {
             id(node): fn

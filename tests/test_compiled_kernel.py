@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fuzz import generate_case
 from repro.lang.compile import (
     clear_compile_cache,
     compile_cache_stats,
@@ -33,6 +34,7 @@ from repro.relation import BitRel, Universe
 from repro.search.posets import oriented_orders, oriented_orders_incremental
 from repro.search.ptx_search import allowed_outcomes
 from repro.search.records import EnumStats
+from repro.zoo import ZOO_MODELS, zoo_outcomes
 
 pytestmark = pytest.mark.slow
 
@@ -83,6 +85,37 @@ def test_three_kernels_agree_on_corpus4(name, variant, generated):
     program = generated.test.program
     assert _outcomes_and_stats(program, "compiled") == \
         _outcomes_and_stats(program, "set")
+
+
+#: blind fuzz programs: each is novel, so each compiles a cold instance
+FUZZ_SEED = 20261016
+FUZZ = [generate_case(FUZZ_SEED, index).test for index in range(48)]
+
+
+@pytest.mark.parametrize("model", ["native"] + [m.name for m in ZOO_MODELS])
+def test_kernels_agree_on_fresh_fuzz_programs(model):
+    """Native ptx and every zoo model: the compiled kernel, whose
+    constants are generated code over the bit-native vocabulary, gives
+    the ``set`` kernel's outcomes and search counters on novel programs."""
+    for test in FUZZ:
+        runs = {}
+        for kernel in KERNELS:
+            if model == "native":
+                opts, _ = partition_opts("ptx", dict(test.search_opts))
+                runs[kernel] = _outcomes_and_stats(test.program, kernel, opts)
+                continue
+            opts, _ = partition_opts(model, dict(test.search_opts))
+            stats = EnumStats()
+            outcomes = zoo_outcomes(
+                model, test.program, kernel=kernel, stats=stats, **opts
+            )
+            counters = {
+                name: value
+                for name, value in stats.as_dict().items()
+                if name not in _MEMO_COUNTERS
+            }
+            runs[kernel] = (outcomes, counters)
+        assert runs["compiled"] == runs["set"], (model, test.name)
 
 
 def test_verdict_digests_agree_on_regression_corpus():
