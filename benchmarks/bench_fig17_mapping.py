@@ -28,6 +28,7 @@ from helpers import full_mode
 
 from repro.kodkod.litmus import symbolic_consistent_instances
 from repro.litmus import BY_NAME
+from repro.sat import SolverStats
 from repro.mapping import STANDARD, check_mapping_axiom
 
 AXIOMS = ("Coherence", "Atomicity", "SC")
@@ -90,10 +91,11 @@ def test_fig17_instance_enumeration(benchmark, incremental):
     paper's Alloy loop pays.
     """
     test = BY_NAME["IRIW+rel_acq"]
-    stats = []
+    rounds = []
 
     def run():
-        stats.clear()
+        stats = SolverStats()
+        rounds.append(stats)
         return sum(
             1
             for _ in symbolic_consistent_instances(
@@ -103,10 +105,11 @@ def test_fig17_instance_enumeration(benchmark, incremental):
 
     count = benchmark.pedantic(run, rounds=3, iterations=1)
     assert count == 16
+    stats = rounds[-1]
     benchmark.extra_info.update(
         {
             "instances": count,
-            "total_conflicts": sum(s.conflicts for s in stats),
-            "total_decisions": sum(s.decisions for s in stats),
+            "total_conflicts": stats.conflicts,
+            "total_decisions": stats.decisions,
         }
     )

@@ -16,7 +16,7 @@ from repro.kodkod import Bounds, Universe, check, instances
 from repro.kodkod.litmus import symbolic_outcome_allowed
 from repro.lang import ast
 from repro.litmus import BY_NAME, run_litmus
-from repro.sat import Cnf, enumerate_models, solve_cnf
+from repro.sat import Cnf, SolverStats, enumerate_models, solve_cnf
 
 
 def test_sat_pigeonhole(benchmark):
@@ -83,12 +83,13 @@ def test_sat_incremental_speedup_and_reuse(benchmark):
     cnf = _queens_cnf(8)
 
     def run():
-        stats = []
+        stats, first = SolverStats(), None
         started = time.perf_counter()
-        incremental = {
-            frozenset(k for k, v in m.items() if v)
-            for m in enumerate_models(cnf, stats_out=stats)
-        }
+        incremental = set()
+        for m in enumerate_models(cnf, stats=stats):
+            if first is None:
+                first = stats.copy()  # the first solve's counters
+            incremental.add(frozenset(k for k, v in m.items() if v))
         t_incremental = time.perf_counter() - started
         started = time.perf_counter()
         rebuilt = {
@@ -97,27 +98,27 @@ def test_sat_incremental_speedup_and_reuse(benchmark):
         }
         t_rebuild = time.perf_counter() - started
         assert incremental == rebuilt and len(incremental) == 92
-        return t_incremental, t_rebuild, stats
+        return t_incremental, t_rebuild, stats, first
 
-    t_incremental, t_rebuild, stats = benchmark.pedantic(
+    t_incremental, t_rebuild, stats, first = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     speedup = t_rebuild / t_incremental
-    conflicts = [s.conflicts for s in stats]
-    mean_later = sum(conflicts[1:]) / (len(conflicts) - 1)
+    later = stats - first
+    mean_later = later.conflicts / (stats.solves - 1)
     benchmark.extra_info.update(
         {
-            "models": len(conflicts),
+            "models": stats.solves,
             "speedup": round(speedup, 1),
-            "first_solve_conflicts": conflicts[0],
+            "first_solve_conflicts": first.conflicts,
             "mean_later_conflicts": round(mean_later, 2),
-            "total_conflicts": sum(conflicts),
+            "total_conflicts": stats.conflicts,
         }
     )
     assert speedup >= 2.0, f"incremental speedup only {speedup:.2f}x"
-    assert mean_later < conflicts[0], (
+    assert mean_later < first.conflicts, (
         f"no learned-clause reuse visible: first solve took "
-        f"{conflicts[0]} conflicts, later mean {mean_later:.2f}"
+        f"{first.conflicts} conflicts, later mean {mean_later:.2f}"
     )
 
 

@@ -1,9 +1,15 @@
 """A herd-style cat DSL over the shared relational AST."""
 
-from .interp import cat_consistent, check_cat, extend_env
-from .models import available_models, load_model
-from .parser import CatModel, CatSyntaxError, parse_cat, tokenize
-from .unparse import catmodel_to_cat, expr_to_cat
+from .. import _lazy_exports
+
+#: module (relative to this package) -> the names exported from it
+_EXPORTS = {
+    ".interp": ("cat_consistent", "check_cat", "extend_env"),
+    ".models": ("available_models", "load_model"),
+    ".parser": ("CatModel", "CatSyntaxError", "parse_cat", "tokenize"),
+    ".unparse": ("catmodel_to_cat", "expr_to_cat"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CatModel",

@@ -141,8 +141,7 @@ def certify_symbolic(test) -> Tuple[bool, Certificate, SolverStats]:
     logger = DratLogger()
     solver = Solver(translation.cnf, proof=logger)
     satisfiable = solver.solve()
-    stats = solver.stats.copy()
-    translation.solver_stats.append(stats)
+    stats = solver.stats
     if satisfiable:
         certificate = certify_witness(translation, solver.model())
     else:

@@ -557,12 +557,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     from .zoo.matrix import MatrixError, ModelMatrix, build_matrix, verify_claims
 
-    session = None
-    try:
-        if args.jobs != 1:
-            from .litmus import RunConfig, Session
+    from .litmus import RunConfig, Session
 
-            session = Session(RunConfig(jobs=args.jobs, use_cache=False))
+    with Session(RunConfig(jobs=args.jobs, use_cache=False)) as session:
         try:
             matrix = build_matrix(
                 models=args.models or None,
@@ -573,9 +570,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         except (KeyError, MatrixError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    finally:
-        if session is not None:
-            session.close()
     corpus = "fast suite" if args.fast else "suite + generated corpus"
     print(f"conformance matrix over the {corpus} ({len(matrix.tests)} tests)")
     print()

@@ -1,9 +1,11 @@
-"""Shared substrate: scope trees, executions, and common vocabulary."""
+"""Shared substrate: scope trees, executions, counters records and common
+vocabulary."""
 
 from .. import _lazy_exports
 
 #: module (relative to this package) -> the names exported from it
 _EXPORTS = {
+    ".counters": ("Counters",),
     ".execution": ("Execution", "program_order", "same_location"),
     ".scopes": (
         "Scope", "ScopeInstance", "SystemShape", "ThreadId", "device_thread",
@@ -14,6 +16,7 @@ _EXPORTS = {
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
+    "Counters",
     "Execution",
     "Scope",
     "ScopeInstance",

@@ -31,10 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from ..core.counters import Counters
 from ..litmus.config import RunConfig
 from ..litmus.parser import parse_litmus
 from ..litmus.serialize import canonical_json, test_to_dict, test_to_litmus
@@ -83,7 +84,7 @@ class FuzzBudget:
 
 
 @dataclass
-class FuzzStats:
+class FuzzStats(Counters):
     """Deterministic counters for one fuzz run (time kept separate)."""
 
     generated: int = 0
@@ -105,22 +106,6 @@ class FuzzStats:
         self.discrepancies += len(verdict.discrepancies)
         for kind in verdict.agreed:
             self.by_check[kind] = self.by_check.get(kind, 0) + 1
-
-    def as_dict(self) -> Dict:
-        """The JSON form stored in farm checkpoints."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FuzzStats":
-        """Inverse of :meth:`as_dict`; absent counters read as zero."""
-        by_check = {
-            str(k): int(v) for k, v in dict(data.get("by_check", {})).items()
-        }
-        counters = {
-            f.name: int(data.get(f.name, 0))
-            for f in fields(cls) if f.name != "by_check"
-        }
-        return cls(by_check=by_check, **counters)
 
     def format(self) -> str:
         per_check = " ".join(

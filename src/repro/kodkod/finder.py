@@ -12,8 +12,9 @@ clauses, variable activities and saved phases persist across the whole
 enumeration, and the caller's :class:`~repro.kodkod.translate.Translation`
 stays pristine and re-enumerable.
 
-Every SAT call records a :class:`~repro.sat.records.SolverStats` snapshot on
-the translation (and into the optional ``stats`` collector), so callers can
+Every entry point takes an optional ``stats`` sink, one
+:class:`~repro.sat.records.SolverStats` its SAT calls add their counters
+into (the convention of the enumerators' ``EnumStats``), so callers can
 observe decisions/conflicts/learned-clause reuse per query.
 """
 
@@ -98,10 +99,11 @@ def translate_problem(
 
 def solve_translation(
     translation: Translation,
-    stats: Optional[List[SolverStats]] = None,
+    stats: Optional[SolverStats] = None,
     proof=None,
 ) -> Optional[Instance]:
-    """Solve a prepared translation, recording solver stats on it.
+    """Solve a prepared translation, adding the solve's counters into
+    ``stats``.
 
     ``proof`` attaches a DRAT logger to the solver (see
     :mod:`repro.cert.drat`), so an unsatisfiable query leaves a trace the
@@ -109,10 +111,8 @@ def solve_translation(
     """
     solver = Solver(translation.cnf, proof=proof)
     satisfiable = solver.solve()
-    snapshot = solver.stats.copy()
-    translation.solver_stats.append(snapshot)
     if stats is not None:
-        stats.append(snapshot)
+        stats += solver.stats
     if not satisfiable:
         return None
     return _decode(translation, solver.model())
@@ -122,13 +122,13 @@ def solve(
     formula: ast.Formula,
     bounds: Bounds,
     configure: Optional[callable] = None,
-    stats: Optional[List[SolverStats]] = None,
+    stats: Optional[SolverStats] = None,
 ) -> Optional[Instance]:
     """Find an instance satisfying ``formula``, or None.
 
     ``configure`` receives the :class:`Translator` before solving, for
     extra-logical constraints (e.g. rf functionality via ``exactly_one_of``).
-    ``stats``, if given, receives one :class:`SolverStats` snapshot.
+    ``stats``, if given, receives the solve's :class:`SolverStats`.
     """
     return solve_translation(
         translate_problem(formula, bounds, configure), stats=stats
@@ -139,7 +139,7 @@ def check(
     assertion: ast.Formula,
     bounds: Bounds,
     configure: Optional[callable] = None,
-    stats: Optional[List[SolverStats]] = None,
+    stats: Optional[SolverStats] = None,
 ) -> Optional[Instance]:
     """Search for a counterexample to ``assertion`` (Alloy ``check``).
 
@@ -149,24 +149,13 @@ def check(
     return solve(ast.Not(assertion), bounds, configure=configure, stats=stats)
 
 
-class _StatsFanout:
-    """Append-only sink duplicating per-solve stats into several lists."""
-
-    def __init__(self, *sinks: Optional[List[SolverStats]]):
-        self.sinks = [sink for sink in sinks if sink is not None]
-
-    def append(self, snapshot: SolverStats) -> None:
-        for sink in self.sinks:
-            sink.append(snapshot)
-
-
 def instances(
     formula: ast.Formula,
     bounds: Bounds,
     configure: Optional[callable] = None,
     limit: Optional[int] = None,
     incremental: bool = True,
-    stats: Optional[List[SolverStats]] = None,
+    stats: Optional[SolverStats] = None,
     proof=None,
     blocking_out: Optional[List[List[int]]] = None,
 ) -> Iterator[Instance]:
@@ -202,19 +191,18 @@ def enumerate_translation(
     translation: Translation,
     limit: Optional[int] = None,
     incremental: bool = True,
-    stats: Optional[List[SolverStats]] = None,
+    stats: Optional[SolverStats] = None,
     proof=None,
     blocking_out: Optional[List[List[int]]] = None,
 ) -> Iterator[Instance]:
     """Enumerate a prepared translation's instances (see :func:`instances`),
-    recording solver stats on it."""
-    sink = _StatsFanout(translation.solver_stats, stats)
+    adding the solver's counters into ``stats``."""
     for model in enumerate_models(
         translation.cnf,
         projection=translation.projection_vars(),
         limit=limit,
         incremental=incremental,
-        stats_out=sink,
+        stats=stats,
         proof=proof,
         blocking_out=blocking_out,
     ):

@@ -325,13 +325,13 @@ def ptx_problem(test: LitmusTest) -> PtxProblem:
 
 def symbolic_outcome_allowed(
     test: LitmusTest,
-    stats: Optional[List[SolverStats]] = None,
+    stats: Optional[SolverStats] = None,
 ) -> bool:
     """Decide the test condition with one bounded SAT query.
 
     Returns True when some axiom-consistent execution satisfies the
     condition (i.e. the outcome is *allowed*).  ``stats``, if given,
-    receives the SAT call's :class:`SolverStats` snapshot.
+    receives the SAT call's :class:`SolverStats`.
     """
     translation = ptx_problem(test).translation(condition=True)
     return solve_translation(translation, stats=stats) is not None
@@ -341,7 +341,7 @@ def symbolic_consistent_instances(
     test: LitmusTest,
     limit: Optional[int] = None,
     incremental: bool = True,
-    stats: Optional[List[SolverStats]] = None,
+    stats: Optional[SolverStats] = None,
     proof=None,
     blocking_out: Optional[List[List[int]]] = None,
 ):
@@ -368,7 +368,7 @@ def symbolic_consistent_instances(
 def symbolic_outcomes(
     test: LitmusTest,
     limit: Optional[int] = None,
-    stats: Optional[List[SolverStats]] = None,
+    stats: Optional[SolverStats] = None,
 ):
     """The full allowed-outcome *set* of ``test``, computed symbolically.
 
@@ -391,6 +391,13 @@ def symbolic_outcomes(
     ``fence.sc`` pairs that are not morally strong, which the enumerative
     engine never orients, so ``cause`` is decoded over the closure of the
     instance's ``sc`` restricted to morally strong pairs.
+
+    ``cause`` is decoded by the interpreter (:func:`~repro.lang.eval_expr`
+    over a bitset environment), not by the compiled kernel, on purpose:
+    this enumeration is the fuzz oracle's check on the enumerative
+    engines, which run the compiled kernel, so the two share no compiled
+    code.  The interpreted decode costs about 30% of this function on
+    fuzz-sized programs; that is the price of the independence.
 
     Raises :class:`UnsupportedProgram` when some write's value is
     data-dependent (the instance alone cannot determine it).

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..lang import ast
 from ..sat.cnf import Cnf, FrozenCnf
-from ..sat.records import SolverStats
 from .bounds import Bounds
 
 #: A sparse boolean matrix: tuple of universe positions -> SAT literal
@@ -46,9 +45,6 @@ class Translation:
     bounds: Bounds
     #: relation name -> (tuple -> SAT variable), for slack tuples only
     free_vars: Dict[str, Dict[tuple, int]] = field(default_factory=dict)
-    #: one SolverStats snapshot per SAT call made against this translation
-    #: (appended by :mod:`repro.kodkod.finder`; solver observability, §5.2)
-    solver_stats: List[SolverStats] = field(default_factory=list)
 
     def decode(self, model: Dict[int, bool]) -> Dict[str, set]:
         """Decode a SAT model into concrete relations (name -> tuple set)."""

@@ -43,6 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from ..core.counters import Counters
 from ..relation import BitRel, BitSet
 from . import ast
 from .eval import UnboundRelation, _independent_roots, var_deps
@@ -901,19 +902,12 @@ class CompiledEnv:
 # ----------------------------------------------------------------------
 
 @dataclass
-class CompileStats:
+class CompileStats(Counters):
     """Counters for the template/instance caches (observable in tests)."""
 
     templates: int = 0
     instances: int = 0
     hits: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "templates": self.templates,
-            "instances": self.instances,
-            "hits": self.hits,
-        }
 
 
 COMPILE_STATS = CompileStats()
@@ -963,9 +957,7 @@ def clear_compile_cache() -> None:
     """Drop compiled instances and templates (test isolation hook)."""
     _INSTANCES.clear()
     _TEMPLATES.clear()
-    COMPILE_STATS.templates = 0
-    COMPILE_STATS.instances = 0
-    COMPILE_STATS.hits = 0
+    COMPILE_STATS.__init__()  # every counter back to 0, in place
 
 
 _SIGNATURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

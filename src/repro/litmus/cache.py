@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
 
+from ..core.counters import Counters
 from ..schema import CACHE_SCHEMA_VERSION, assert_schema
 from .serialize import (
     canonical_json,
@@ -92,15 +93,12 @@ def cache_key(
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Hit/miss/store counters for one cache handle."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
-
-    def format(self) -> str:
-        return f"hits={self.hits} misses={self.misses} stores={self.stores}"
 
 
 @dataclass

@@ -7,10 +7,11 @@ enumerate closing cycles → synthesise a litmus test per annotation variant
 → classify under both models → report the distinguishing tests.
 
 Classification is the expensive leg, and each (candidate, model) pair is
-independent — so the search can fan out through a
+independent — so the search runs through a
 :class:`~repro.litmus.session.Session` (``session=`` / ``ptxmm compare
---jobs N``): candidates are classified in parallel batches while the
-distinctions still stream out in deterministic enumeration order.
+--jobs N``, or an in-process one by default): candidates are classified
+in batches while the distinctions still stream out in deterministic
+enumeration order.
 
 Typical findings this surfaces (see ``tests/test_compare_models.py``):
 
@@ -31,7 +32,7 @@ from ..core.scopes import Scope
 from ..ptx.events import Sem
 from .generator import EDGE_NAMES, GeneratedTest, enumerate_cycles, generate
 from ..registry import resolve_model
-from .runner import run_litmus
+from .session import batch_session
 from .test import Expect
 
 #: Annotation variants applied to every generated cycle.
@@ -75,15 +76,11 @@ def compare_on(
     session=None,
 ) -> Dict[str, Expect]:
     """Classify one generated test under several models."""
-    if session is not None:
-        results = session.run_tasks(
-            [(generated.test, session.config.for_model(m)) for m in models]
+    with batch_session(session) as runner:
+        results = runner.run_tasks(
+            [(generated.test, runner.config.for_model(m)) for m in models]
         )
-        return {m: r.verdict for m, r in zip(models, results)}
-    return {
-        model: run_litmus(generated.test, model=model).verdict
-        for model in models
-    }
+    return {m: r.verdict for m, r in zip(models, results)}
 
 
 def _candidates(
@@ -117,57 +114,43 @@ def distinguishing_tests(
     meaningless to SC — it ignores them) still run; the comparison is
     behavioural.
 
-    With a :class:`~repro.litmus.session.Session`, candidates are
-    classified through its worker pool (and result cache) in batches;
-    the yielded distinctions and their order are identical to the
-    sequential search.
+    Candidates are classified in batches through ``session`` (its worker
+    pool and result cache) or, without one, an in-process session; the
+    distinctions stream out in enumeration order either way.
     """
     for model in (model_a, model_b):
         resolve_model(model)
     variants = VARIANTS if variants is None else variants
     candidates = _candidates(max_length, variants, vocabulary)
     found = 0
-    if session is None:
-        for generated, variant_name in candidates:
-            verdicts = compare_on(generated, (model_a, model_b))
-            if verdicts[model_a] is not verdicts[model_b]:
-                yield Distinction(
-                    generated=generated,
-                    variant=variant_name,
-                    verdicts=verdicts,
-                )
-                found += 1
-                if limit is not None and found >= limit:
-                    return
-        return
-    # batched parallel classification, deterministic yield order
-    batch_size = max(1, session.jobs) * 8
-    config_a = session.config.for_model(model_a)
-    config_b = session.config.for_model(model_b)
-    while True:
-        batch = list(itertools.islice(candidates, batch_size))
-        if not batch:
-            return
-        tasks = []
-        for generated, _ in batch:
-            tasks.append((generated.test, config_a))
-            tasks.append((generated.test, config_b))
-        results = session.run_tasks(tasks)
-        decided = (Expect.ALLOWED, Expect.FORBIDDEN)
-        for pair_index, (generated, variant_name) in enumerate(batch):
-            verdict_a = results[2 * pair_index].verdict
-            verdict_b = results[2 * pair_index + 1].verdict
-            if verdict_a not in decided or verdict_b not in decided:
-                continue  # timeout/error is not a behavioural distinction
-            if verdict_a is not verdict_b:
-                yield Distinction(
-                    generated=generated,
-                    variant=variant_name,
-                    verdicts={model_a: verdict_a, model_b: verdict_b},
-                )
-                found += 1
-                if limit is not None and found >= limit:
-                    return
+    decided = (Expect.ALLOWED, Expect.FORBIDDEN)
+    with batch_session(session) as runner:
+        batch_size = max(1, runner.jobs) * 8
+        config_a = runner.config.for_model(model_a)
+        config_b = runner.config.for_model(model_b)
+        while True:
+            batch = list(itertools.islice(candidates, batch_size))
+            if not batch:
+                return
+            tasks = []
+            for generated, _ in batch:
+                tasks.append((generated.test, config_a))
+                tasks.append((generated.test, config_b))
+            results = runner.run_tasks(tasks)
+            for pair_index, (generated, variant_name) in enumerate(batch):
+                verdict_a = results[2 * pair_index].verdict
+                verdict_b = results[2 * pair_index + 1].verdict
+                if verdict_a not in decided or verdict_b not in decided:
+                    continue  # timeout/error is not a behavioural distinction
+                if verdict_a is not verdict_b:
+                    yield Distinction(
+                        generated=generated,
+                        variant=variant_name,
+                        verdicts={model_a: verdict_a, model_b: verdict_b},
+                    )
+                    found += 1
+                    if limit is not None and found >= limit:
+                        return
 
 
 def first_distinction(

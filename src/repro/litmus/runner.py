@@ -81,11 +81,6 @@ def _filter_opts(
     return kept
 
 
-# TimeoutExceeded / deadline historically lived here; they moved to
-# :mod:`repro.core.deadline` so the engines can poll check_deadline()
-# without importing the runner.  Re-exported for compatibility.
-
-
 @dataclass(frozen=True)
 class LitmusResult:
     """The verdict of running one litmus test under one model."""

@@ -462,22 +462,6 @@ def outcome_from_dict(obj: Dict) -> Outcome:
     )
 
 
-def solver_stats_to_dict(stats: SolverStats) -> Dict:
-    return stats.as_dict()
-
-
-def solver_stats_from_dict(obj: Dict) -> SolverStats:
-    return SolverStats(**obj)
-
-
-def enum_stats_to_dict(stats: EnumStats) -> Dict:
-    return stats.as_dict()
-
-
-def enum_stats_from_dict(obj: Dict) -> EnumStats:
-    return EnumStats.from_dict(obj)
-
-
 def certificate_to_dict(cert: Certificate) -> Dict:
     return {
         "polarity": cert.polarity,
@@ -516,11 +500,11 @@ def result_to_dict(result, include_test: bool = True) -> Dict:
         "outcomes": _outcomes_to_list(result.outcomes),
         "elapsed": result.elapsed,
         "solver_stats": (
-            solver_stats_to_dict(result.solver_stats)
+            result.solver_stats.as_dict()
             if result.solver_stats is not None else None
         ),
         "enum_stats": (
-            enum_stats_to_dict(result.enum_stats)
+            result.enum_stats.as_dict()
             if result.enum_stats is not None else None
         ),
         "status": result.status,
@@ -548,11 +532,11 @@ def result_from_dict(obj: Dict, test=None):
         outcomes=frozenset(outcome_from_dict(o) for o in obj["outcomes"]),
         elapsed=obj.get("elapsed"),
         solver_stats=(
-            solver_stats_from_dict(obj["solver_stats"])
+            SolverStats.from_dict(obj["solver_stats"])
             if obj.get("solver_stats") is not None else None
         ),
         enum_stats=(
-            enum_stats_from_dict(obj["enum_stats"])
+            EnumStats.from_dict(obj["enum_stats"])
             if obj.get("enum_stats") is not None else None
         ),
         status=obj.get("status", "ok"),

@@ -24,6 +24,7 @@ Design notes:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -33,6 +34,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.counters import Counters
 from ..sat.records import SolverStats
 from ..schema import assert_schema
 from ..search.records import EnumStats
@@ -61,7 +63,7 @@ assert_schema("repro.litmus.session", cache=10)
 
 
 @dataclass
-class SessionStats:
+class SessionStats(Counters):
     """Aggregate counters for everything a session has executed.
 
     Extends the per-solve :class:`SolverStats` reporting with the
@@ -262,9 +264,9 @@ class Session:
             elif result.status == "error":
                 self.stats.errors += 1
             if result.solver_stats is not None:
-                self.stats.solver = self.stats.solver + result.solver_stats
+                self.stats.solver += result.solver_stats
             if result.enum_stats is not None:
-                self.stats.enum = self.stats.enum + result.enum_stats
+                self.stats.enum += result.enum_stats
             certificate = result.certificate
             if certificate is not None:
                 if certificate.verified:
@@ -399,3 +401,12 @@ class Session:
         from .compare import distinguishing_tests
 
         return distinguishing_tests(model_a, model_b, session=self, **kw)
+
+
+def batch_session(session: Optional[Session] = None):
+    """The context a batch runs in: ``session`` itself (left open), or a
+    fresh in-process ``Session(RunConfig())`` (one job, no cache files),
+    closed on exit."""
+    if session is not None:
+        return contextlib.nullcontext(session)
+    return Session(RunConfig())

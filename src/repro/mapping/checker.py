@@ -15,9 +15,10 @@ axiom by axiom — reproduce the shape of the paper's Figure 17.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.counters import Counters
 from ..lang import eval_formula
 from ..rc11 import spec as rc11_spec
 from ..rc11.model import build_env as rc11_build_env
@@ -42,7 +43,7 @@ class Counterexample:
 
 
 @dataclass
-class CheckStats:
+class CheckStats(Counters):
     """Search-effort accounting for one check run."""
 
     skeletons: int = 0

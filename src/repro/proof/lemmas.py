@@ -59,11 +59,6 @@ def union_member(member: ast.Expr, tree: ast.Expr) -> Thm:
     raise kernel.ProofError(f"{member!r} is not a disjunct of {tree!r}")
 
 
-def expr_in_opt(e: ast.Expr) -> Thm:
-    """``⊢ e ⊆ e?`` (alias for the kernel rule, named for readability)."""
-    return kernel.opt_intro(e)
-
-
 def wrap_with_opts(middle: ast.Expr, left: ast.Expr, right: ast.Expr) -> Thm:
     """Prove ``m ⊆ left? ; m ; right?``.
 

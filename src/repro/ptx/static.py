@@ -1,7 +1,7 @@
 """One static pass per program: the skeleton and vocabulary every engine reads.
 
 Every engine that judges a program — the staged enumerator behind the
-native PTX front, rf-check and the model zoo, the total-co reference
+model zoo (PTX included) and rf-check, the total-co reference
 search, and the SAT encoder and its instance decoder — starts from the
 same static side of the program: its elaboration, the init writes, the
 candidate-execution skeleton, one atom :class:`~repro.relation.Universe`,

@@ -91,12 +91,6 @@ def resolve_kernel(name: str) -> str:
 # model outcome functions (lazy imports: keep the registry import-light)
 # ----------------------------------------------------------------------
 
-def _ptx_outcomes(program, **opts):
-    from .search.ptx_search import allowed_outcomes
-
-    return allowed_outcomes(program, **opts)
-
-
 def _ptx_legacy_outcomes(program, **opts):
     from .ptx.legacy import legacy_allowed_outcomes
 
@@ -149,12 +143,6 @@ class ModelSpec:
     description: str = ""
 
 
-#: zoo models with a dedicated engine: the declaration still defines the
-#: option surface and claims, but dispatch goes to the optimized native
-#: search (prunes, saturation) rather than the generic enumeration
-_NATIVE_RUNS: Dict[str, Callable] = {"ptx": _ptx_outcomes}
-
-
 def _zoo_specs() -> Tuple[ModelSpec, ...]:
     """One ``ModelSpec`` per zoo declaration — the registry entries are
     pure data derived from :mod:`repro.zoo.models`."""
@@ -162,11 +150,10 @@ def _zoo_specs() -> Tuple[ModelSpec, ...]:
 
     specs = []
     for model in ZOO_MODELS:
-        run = _NATIVE_RUNS.get(model.name) or _zoo_run(model.name)
         specs.append(
             ModelSpec(
                 model.name,
-                run,
+                _zoo_run(model.name),
                 opts=model.opts,
                 ignored_opts=model.ignored_opts,
                 enumerative=True,
@@ -285,18 +272,16 @@ def _run_symbolic(test, config, opts):
     condition is value-dependent and cannot be phrased relationally.
     """
     from .kodkod.litmus import UnsupportedCondition, symbolic_outcome_allowed
+    from .sat.records import SolverStats
 
     if not opts:
-        stats: list = []
+        stats = SolverStats()
         try:
             observed = symbolic_outcome_allowed(test, stats=stats)
         except UnsupportedCondition:
             pass
         else:
-            merged = stats[0]
-            for snapshot in stats[1:]:
-                merged = merged + snapshot
-            return observed, frozenset(), merged, None
+            return observed, frozenset(), stats, None
     outcomes = resolve_model(config.model).run(
         test.program, **_kernel_opts(config, opts)
     )
@@ -319,16 +304,13 @@ def _run_symbolic_enum(test, config, opts):
     from .sat.records import SolverStats
 
     if not opts:
-        stats: list = []
+        stats = SolverStats()
         try:
             outcomes = symbolic_outcomes(test, stats=stats)
         except UnsupportedProgram:
             pass
         else:
-            merged = stats[0] if stats else SolverStats()
-            for snapshot in stats[1:]:
-                merged = merged + snapshot
-            return test.condition_observed(outcomes), outcomes, merged, None
+            return test.condition_observed(outcomes), outcomes, stats, None
     outcomes = resolve_model(config.model).run(
         test.program, **_kernel_opts(config, opts)
     )

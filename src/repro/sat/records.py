@@ -2,23 +2,24 @@
 
 :class:`SolverStats` travels with litmus results into the cache, the
 verdict store and CLI reports.  It lives apart from the solver
-(:mod:`repro.sat.solver`) and imports only the standard library, so a
-process that only reads or reports verdicts never loads the CDCL engine.
+(:mod:`repro.sat.solver`) and imports only the standard library (and the
+stdlib-only :mod:`repro.core.counters` base), so a process that only
+reads or reports verdicts never loads the CDCL engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Dict
+from dataclasses import dataclass
+
+from ..core.counters import Counters
 
 
 @dataclass
-class SolverStats:
+class SolverStats(Counters):
     """Structured per-solver counters (cumulative across incremental solves).
 
-    Supports dict-style access (``stats["conflicts"]``) for backward
-    compatibility, and field-wise subtraction so callers can compute
-    per-solve deltas from snapshots: ``after - before``.
+    Field-wise subtraction gives per-solve deltas from snapshots:
+    ``after - before``.
     """
 
     decisions: int = 0
@@ -29,34 +30,6 @@ class SolverStats:
     deleted: int = 0
     solves: int = 0
     solve_time: float = 0.0
-
-    def __getitem__(self, key: str):
-        if key not in self.as_dict():
-            raise KeyError(key)
-        return getattr(self, key)
-
-    def copy(self) -> "SolverStats":
-        """An independent snapshot of the current counters."""
-        return replace(self)
-
-    def __sub__(self, other: "SolverStats") -> "SolverStats":
-        return SolverStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def __add__(self, other: "SolverStats") -> "SolverStats":
-        return SolverStats(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def format(self) -> str:
         """A compact one-line rendering for CLI/benchmark output."""

@@ -606,7 +606,7 @@ def enumerate_models(
     projection: Optional[Iterable[int]] = None,
     limit: Optional[int] = None,
     incremental: bool = True,
-    stats_out: Optional[List[SolverStats]] = None,
+    stats: Optional[SolverStats] = None,
     proof=None,
     blocking_out: Optional[List[List[int]]] = None,
 ) -> Iterator[Dict[int, bool]]:
@@ -625,8 +625,9 @@ def enumerate_models(
     the old rebuild-per-model behaviour (on a private copy of the formula)
     as a baseline for benchmarks and differential tests.
 
-    ``stats_out``, if given, receives one per-solve :class:`SolverStats`
-    delta per yielded model (useful to observe learned-clause reuse).
+    ``stats``, if given, is a :class:`SolverStats` sink: the counters of
+    every solve that yields a model are added into it (the final,
+    unsatisfiable solve that ends the enumeration is not).
 
     ``blocking_out``, if given, receives every blocking clause pushed into
     the solver, in push order — the certificate layer matches them against
@@ -641,7 +642,7 @@ def enumerate_models(
                 "proof logging requires incremental enumeration (the "
                 "rebuild baseline has no single solver to trace)"
             )
-        yield from _enumerate_rebuild(cnf, proj, limit, stats_out, blocking_out)
+        yield from _enumerate_rebuild(cnf, proj, limit, stats, blocking_out)
         return
     solver = Solver(cnf, proof=proof)
     count = 0
@@ -649,8 +650,8 @@ def enumerate_models(
         before = solver.stats.copy()
         if not solver.solve():
             return
-        if stats_out is not None:
-            stats_out.append(solver.stats - before)
+        if stats is not None:
+            stats += solver.stats - before
         model = solver.model()
         yield model
         count += 1
@@ -668,7 +669,7 @@ def _enumerate_rebuild(
     cnf: Cnf,
     proj: Optional[List[int]],
     limit: Optional[int],
-    stats_out: Optional[List[SolverStats]],
+    stats: Optional[SolverStats],
     blocking_out: Optional[List[List[int]]] = None,
 ) -> Iterator[Dict[int, bool]]:
     """Per-model solver rebuild: the pre-incremental enumeration baseline."""
@@ -678,8 +679,8 @@ def _enumerate_rebuild(
         solver = Solver(working)
         if not solver.solve():
             return
-        if stats_out is not None:
-            stats_out.append(solver.stats.copy())
+        if stats is not None:
+            stats += solver.stats
         model = solver.model()
         yield model
         count += 1

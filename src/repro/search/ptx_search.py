@@ -7,46 +7,32 @@ filters them through the six Figure 7 axioms.  The surviving candidates
 determine the program's allowed outcomes.
 
 The enumeration is the shared staged loop of :mod:`.staged`; this module
-is its PTX front.  :data:`PTX_STAGED` hands the loop the axioms of
-:mod:`repro.ptx.spec` and the signature, witness spec and rf prune of the
-one PTX declaration (:data:`repro.zoo.models.PTX`, which the zoo's
-cat-driven ``ptx`` reads too); the static environment is that signature
-over the program's vocabulary (:func:`repro.ptx.static.signature_env`).  Compiled instances are keyed by ``("ptx", program signature)``
-and shared with the rf-check engine (:mod:`.rf_check`), whose model is
-this one with :data:`RF_CAUSALITY` moved into the constraints.
+is its PTX front.  :data:`PTX_STAGED` is the zoo engine's staged model
+of the one PTX declaration (:data:`repro.zoo.models.PTX`): the axioms of
+:mod:`repro.ptx.spec`, its signature, witness spec and rf prune, with
+:data:`~repro.zoo.engine.RF_CAUSALITY` compiled alongside; the static
+environment is that signature over the program's vocabulary
+(:func:`repro.ptx.static.signature_env`).  Compiled instances are keyed
+by ``("zoo", "ptx", program signature)`` and shared with the rf-check
+engine (:mod:`.rf_check`), whose model is this one with
+:data:`~repro.zoo.engine.RF_CAUSALITY` moved into the constraints.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
-from ..lang import Irreflexive, rel
 from ..ptx import spec
 from ..ptx.program import Program
-from ..ptx.static import signature_env
 from ..registry import DEFAULT_KERNEL
+from ..zoo.engine import staged_model
 from ..zoo.models import PTX
 # EnumStats and register_sort_key stay importable from here
 from .records import EnumStats, Outcome, register_sort_key  # noqa: F401
-from .staged import Candidate, StagedModel, staged_candidates
-
-#: ``irreflexive(rf ; cause)`` — the rf-check engine's per-(rf, sc)
-#: admissibility constraint.  Compiled here as an extra formula (sharing
-#: the spec's ``cause`` node) so ptx_search and rf_check compile against
-#: one instance per (model, test-signature).
-RF_CAUSALITY = Irreflexive(rel("rf") @ spec.DERIVED["cause"])
+from .staged import Candidate, staged_candidates
 
 #: the PTX model as the staged enumeration runs it
-PTX_STAGED = StagedModel(
-    constraints=tuple(spec.AXIOMS.items()),
-    witnesses=PTX.witnesses,
-    env_factory=partial(signature_env, PTX.signature),
-    compile_key=("ptx",),
-    forced=spec.DERIVED[PTX.witnesses.co_forced_from],
-    extra_formulas=(("__rf_causality__", RF_CAUSALITY),),
-    rf_doom=PTX.rf_doom,
-)
+PTX_STAGED = staged_model(PTX)
 
 
 def candidate_executions(

@@ -4,15 +4,17 @@
 :class:`EnumStats` (the search's telemetry) and
 :func:`register_sort_key` are what the litmus layer stores, compares,
 prints and serializes.  They live apart from the engine
-(:mod:`repro.search.ptx_search`) and import only the standard library,
-so a process that only reads, caches or reports verdicts never loads the
+(:mod:`repro.search.ptx_search`) and import only the standard library
+(and the stdlib-only :mod:`repro.core.counters` base), so a process that only reads, caches or reports verdicts never loads the
 model, the relational language or the compiled kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
+
+from ..core.counters import Counters
 
 if TYPE_CHECKING:
     from ..core.scopes import ThreadId
@@ -38,7 +40,7 @@ def register_sort_key(item) -> Tuple[Tuple[bool, int, int, int], str]:
 
 
 @dataclass
-class EnumStats:
+class EnumStats(Counters):
     """Observability counters for one enumerative search.
 
     ``rf_assignments`` counts reads-from choices visited; ``rf_pruned``
@@ -81,44 +83,6 @@ class EnumStats:
 
     def miss(self) -> None:
         self.memo_misses += 1
-
-    def __add__(self, other: "EnumStats") -> "EnumStats":
-        if not isinstance(other, EnumStats):
-            return NotImplemented
-        merged = {}
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if f.name == "axiom_failed":
-                combined = dict(mine)
-                for name, count in theirs.items():
-                    combined[name] = combined.get(name, 0) + count
-                merged[f.name] = combined
-            else:
-                merged[f.name] = mine + theirs
-        return EnumStats(**merged)
-
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = (
-                dict(sorted(value.items())) if f.name == "axiom_failed"
-                else value
-            )
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "EnumStats":
-        known = {f.name for f in fields(cls)}
-        kwargs: Dict[str, object] = {}
-        for key, value in data.items():
-            if key not in known:
-                continue
-            if key == "axiom_failed":
-                kwargs[key] = {str(k): int(v) for k, v in dict(value).items()}
-            else:
-                kwargs[key] = int(value)
-        return cls(**kwargs)
 
     def format(self) -> str:
         text = (

@@ -70,7 +70,7 @@ from .values import valuations
 
 logger = logging.getLogger("repro.search.rf_check")
 
-#: the PTX model with :data:`~.ptx_search.RF_CAUSALITY` checked as a
+#: the PTX model with :data:`~repro.zoo.engine.RF_CAUSALITY` checked as a
 #: co-independent constraint, once per (rf, sc) prefix.  Its formula list
 #: is :data:`~.ptx_search.PTX_STAGED`'s (constraints + extra formulas), so
 #: both engines share one compiled instance per program signature.

@@ -6,8 +6,8 @@ order ``sc``, then the coherence order, and filtering each candidate
 through the axioms.  This module is that loop, once, for every axiomatic
 model the repository runs, each described as a :class:`StagedModel`.
 Stages 1–3 are the shared prefix, :func:`rf_sc_prefixes`; stages 4–5 are
-:func:`staged_candidates`, which the native PTX engine (:mod:`.ptx_search`)
-and the zoo (:mod:`repro.zoo.engine`) iterate.  The rf-check engine
+:func:`staged_candidates`, which the zoo (:mod:`repro.zoo.engine`)
+and its PTX front (:mod:`.ptx_search`) iterate.  The rf-check engine
 (:mod:`.rf_check`) consumes the same prefix with its own co stage.
 
 1. pick ``rf``, dropping assignments the model's declared doom prune

@@ -32,16 +32,15 @@ import asyncio
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, Optional
 
+from ..core.counters import Counters
+
 
 @dataclass
-class CoalesceStats:
+class CoalesceStats(Counters):
     """How many computations the future table saved."""
 
     leaders: int = 0
     followers: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"leaders": self.leaders, "followers": self.followers}
 
 
 class Coalescer:

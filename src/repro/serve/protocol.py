@@ -202,8 +202,3 @@ def result_payload(result, key: str, source: str) -> Dict:
 def suite_test_names() -> List[str]:
     """The standard suite's test names (the warm endpoint's corpus)."""
     return list(_suite_by_name())
-
-
-def describe_test(test: LitmusTest) -> Dict:
-    """A test echoed back in serialized form (client-side replay)."""
-    return test_to_dict(test)

@@ -33,9 +33,9 @@ from typing import Dict, List, Optional, Tuple
 import asyncio
 
 from .. import __version__
+from ..core.counters import Counters
 from ..litmus.cache import ResultCache, default_cache_dir
 from ..litmus.config import RunConfig
-from ..litmus.serialize import enum_stats_to_dict, solver_stats_to_dict
 from ..litmus.session import Session
 from ..litmus.test import LitmusTest
 from ..schema import CACHE_SCHEMA_VERSION, assert_schema
@@ -83,7 +83,7 @@ class ServeConfig:
 
 
 @dataclass
-class ServiceStats:
+class ServiceStats(Counters):
     """Request-level counters (compute-level ones live in SessionStats)."""
 
     requests: int = 0
@@ -93,14 +93,6 @@ class ServiceStats:
     #: measured against: N identical concurrent requests must leave
     #: this at 1)
     computations: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "saturated": self.saturated,
-            "computations": self.computations,
-        }
 
 
 class VerdictService:
@@ -598,7 +590,6 @@ class VerdictService:
 
     def stats_payload(self) -> Dict:
         """Everything ``/v1/stats`` reports, as one JSON object."""
-        session = self.session.stats
         return {
             "schema": CACHE_SCHEMA_VERSION,
             "version": __version__,
@@ -613,20 +604,7 @@ class VerdictService:
                 "inflight": self.coalescer.inflight(),
             },
             "store": self.store.as_dict(),
-            "session": {
-                "tasks": session.tasks,
-                "cache_hits": session.cache_hits,
-                "cache_misses": session.cache_misses,
-                "timeouts": session.timeouts,
-                "errors": session.errors,
-                "worker_retries": session.worker_retries,
-                "certified": session.certified,
-                "cert_failed": session.cert_failed,
-                "cert_skipped": session.cert_skipped,
-                "elapsed": session.elapsed,
-                "solver": solver_stats_to_dict(session.solver),
-                "enum": enum_stats_to_dict(session.enum),
-            },
+            "session": self.session.stats.as_dict(),
             "config": {
                 "model": self.config.model,
                 "engine": self.config.engine,

@@ -26,9 +26,10 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..core.counters import Counters
 from ..litmus.cache import ResultCache
 from ..schema import assert_schema
 
@@ -38,7 +39,7 @@ assert_schema("repro.serve.store", cache=10)
 
 
 @dataclass
-class StoreStats:
+class StoreStats(Counters):
     """Where verdict reads were served from (and write/eviction traffic)."""
 
     mem_hits: int = 0
@@ -46,22 +47,6 @@ class StoreStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "mem_hits": self.mem_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-        }
-
-    def format(self) -> str:
-        return (
-            f"mem_hits={self.mem_hits} disk_hits={self.disk_hits} "
-            f"misses={self.misses} stores={self.stores} "
-            f"evictions={self.evictions}"
-        )
 
 
 #: how many of a shard's coldest entries compete for eviction: the
@@ -207,8 +192,6 @@ class VerdictStore:
         if self.disk is not None:
             payload["disk"] = {
                 "directory": str(self.disk.directory),
-                "hits": self.disk.stats.hits,
-                "misses": self.disk.stats.misses,
-                "stores": self.disk.stats.stores,
+                **self.disk.stats.as_dict(),
             }
         return payload

@@ -1,8 +1,7 @@
 """The generic zoo engine: any declared model on the staged loop.
 
 Every :class:`~repro.zoo.model.ZooModel` runs on the staged rf → sc → co
-enumeration the native PTX engine uses
-(:func:`repro.search.staged.staged_candidates`).  This module translates
+enumeration (:func:`repro.search.staged.staged_candidates`).  This module translates
 a declaration into a :class:`~repro.search.staged.StagedModel`: the
 spec's axioms become the constraint list (``co_forced_from`` resolves to
 the derived relation it names), the static environment binds the
@@ -12,6 +11,12 @@ TSO's ``rfe``, are rebuilt per reads-from choice), and the declared
 :class:`~repro.zoo.model.RfDoom` is the loop's rf-stage prune.  Spec
 ASTs are inlined (each derived relation is a Python value), so
 constraints reference only the signature's names and the witnesses.
+
+PTX is one of these declarations: :func:`staged_model` of
+:data:`~repro.zoo.models.PTX` is the model the PTX front
+(:mod:`repro.search.ptx_search`) and the rf-check engine run, and it
+compiles :data:`RF_CAUSALITY` alongside the axioms so both share one
+compiled instance per program signature.
 
 Because different models disagree about which writes coherence orders
 (PTX leaves morally weak write pairs unordered, so racy locations
@@ -34,6 +39,7 @@ from typing import (
 )
 
 from ..cat.models import load_model
+from ..lang import Irreflexive, rel
 from ..ptx.program import Program
 # the vocabulary tables stay importable from here
 from ..ptx.static import BUILDERS, PREDICATES, signature_env  # noqa: F401
@@ -41,11 +47,18 @@ from ..registry import DEFAULT_KERNEL
 from ..search.records import EnumStats, Outcome
 from ..search.staged import StagedModel, staged_candidates
 from .model import ZooModel
-from .models import resolve_zoo
+from .models import PTX, resolve_zoo
+
+#: ``irreflexive(rf ; cause)`` — the rf-check engine's per-(rf, sc)
+#: admissibility constraint, compiled with PTX's axioms (sharing the
+#: spec's ``cause`` node) and checked by rf-check alone
+RF_CAUSALITY = Irreflexive(
+    rel("rf") @ load_model(PTX.cat).definition("cause")
+)
 
 
 @functools.lru_cache(maxsize=64)
-def _staged_model(model: ZooModel) -> StagedModel:
+def staged_model(model: ZooModel) -> StagedModel:
     """``model`` as the staged enumeration runs it (built once)."""
     catm = load_model(model.cat)
     ws = model.witnesses
@@ -57,6 +70,9 @@ def _staged_model(model: ZooModel) -> StagedModel:
         forced=(
             catm.definition(ws.co_forced_from)
             if ws.co_forced_from is not None else None
+        ),
+        extra_formulas=(
+            (("__rf_causality__", RF_CAUSALITY),) if model is PTX else ()
         ),
         rf_builders=tuple(
             (rel_name, BUILDERS[builder_name].fn)
@@ -85,12 +101,12 @@ def zoo_candidates(
     if isinstance(model, str):
         model = resolve_zoo(model)
     catm = load_model(model.cat)
-    labels = {name for name, _ in catm.constraints}
-    unknown = set(skip_axioms) - labels
+    labels = [name for name, _ in catm.constraints]
+    unknown = sorted(set(skip_axioms) - set(labels))
     if unknown:
         raise ValueError(
-            f"unknown constraint(s) {sorted(unknown)} for model "
-            f"{model.name!r}; have {sorted(labels)}"
+            f"unknown axiom(s) {unknown} in skip_axioms of model "
+            f"{model.name!r}; valid axioms: {', '.join(labels)}"
         )
     missing = set(catm.free_names) - model.bound_names()
     if missing:
@@ -101,7 +117,7 @@ def zoo_candidates(
         )
     yield from staged_candidates(
         program,
-        _staged_model(model),
+        staged_model(model),
         skip_axioms=skip_axioms,
         speculation_values=speculation_values,
         kernel=kernel,

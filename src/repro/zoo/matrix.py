@@ -261,14 +261,13 @@ def observation_table(
 ) -> ObservationTable:
     """Concrete observations for every ``(model, test)`` pair.
 
-    With a :class:`~repro.litmus.session.Session`, all model×test tasks
-    go through one batched ``run_tasks`` call (worker-pool parallelism
-    plus result caching); without one, they run in-process.  Either way
-    the decision path is the standard runner (per-model option
-    filtering included), so the matrix sees exactly the outcomes
-    ``ptxmm run`` would report.
+    All model×test tasks go through one batched ``run_tasks`` call of
+    ``session`` (worker-pool parallelism plus result caching) or,
+    without one, of an in-process session.  The decision path is the
+    standard runner (per-model option filtering included), so the
+    matrix sees exactly the outcomes ``ptxmm run`` would report.
     """
-    from ..litmus.runner import decide
+    from ..litmus.session import batch_session
 
     configs = {
         model: RunConfig(model=model, engine="enumerative", timeout=timeout)
@@ -282,10 +281,8 @@ def observation_table(
         for model in models
         for _, test in corpus
     ]
-    if session is not None:
-        results = session.run_tasks(tasks)
-    else:
-        results = [decide(test, config) for test, config in tasks]
+    with batch_session(session) as runner:
+        results = runner.run_tasks(tasks)
     table: ObservationTable = {}
     for (model, name), result in zip(keys, results):
         if result.status != "ok":

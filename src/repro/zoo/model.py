@@ -16,7 +16,7 @@ A zoo model is three declarations and nothing else:
   it back).
 
 Given those, the generic engine (:func:`repro.zoo.engine.zoo_outcomes`)
-runs the model on the staged enumeration the native PTX engine uses
+runs the model on the staged enumeration
 (:mod:`repro.search.staged`) and filters candidates through the
 model's constraints: adding a model to the repository means writing
 its spec and one :class:`ZooModel` declaration — no new engine code.

@@ -6,7 +6,7 @@ load of its SAT problem.  These tests pin that set-up's shape: the
 vocabulary is built without any ``Relation``, a cold compiled instance
 folds its constants without the interpreter, a solver loading a kept
 problem attaches only the clauses root propagation leaves open, and the
-seven model templates are the generated sources pinned below.
+six model templates are the generated sources pinned below.
 """
 
 import hashlib
@@ -30,8 +30,8 @@ from tests.test_static_pass import _count_calls
 SEED = 20261016
 FRESH = 8
 
-#: the engines with a compiled template: the native PTX front (shared
-#: with rf-check) and every zoo model
+#: the engines with a compiled template: the PTX front (the zoo's ptx,
+#: shared with rf-check) and every zoo model
 ENGINES = [("native", lambda p: allowed_outcomes(p))] + [
     (m.name, (lambda name: lambda p: zoo_outcomes(name, p))(m.name))
     for m in ZOO_MODELS
@@ -164,12 +164,10 @@ class TestHeapInOneStep:
 
 #: sha256 of each model template's generated source.  A template changes
 #: only when the code generator does; the constants moved into the
-#: generated ``_make`` changed all seven at once.
+#: generated ``_make`` changed all of them at once.  PTX's template
+#: compiles rf-check's ``irreflexive(rf ; cause)`` alongside the axioms.
 TEMPLATE_SHA256 = {
-    "native": (
-        "553d101434ed7a06f6284035eebe05a7d0b32d96c81aa8ede3be8769fee1376b"
-    ),
-    "ptx": "25f1aa365be4a705d45a5e30e653de3a4784816c6dfc7e77c2ccee7d6f8f72d6",
+    "ptx": "553d101434ed7a06f6284035eebe05a7d0b32d96c81aa8ede3be8769fee1376b",
     "sc": "2dd3bc7653f800ab8fc0b6e389c1f8719c3e4102a574641edf06931ae980ac11",
     "tso": "68de36290311540da709bc07dc61409869fc38a50a559c475d2b4b6c31297e8a",
     "imm": "cdcdd7acf88c3c4f2ce795e91faf1d8ce9ec5a34a069aa46fb0e8b26e7e6644f",
@@ -186,11 +184,10 @@ def test_template_sources_are_pinned():
     program = BY_NAME["MP+rel_acq.gpu"].program
     signature = compiled.program_signature(program)
     sources = {}
-    for engine, run in ENGINES:
-        run(program)
-        key = ("ptx",) if engine == "native" else ("zoo", engine)
-        template = compiled._INSTANCES[key + (signature,)].template
-        sources[engine] = hashlib.sha256(
+    for model in ZOO_MODELS:
+        zoo_outcomes(model.name, program)
+        template = compiled._INSTANCES[("zoo", model.name, signature)].template
+        sources[model.name] = hashlib.sha256(
             template.source.encode("utf-8")
         ).hexdigest()
     assert sources == TEMPLATE_SHA256

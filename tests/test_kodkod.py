@@ -201,19 +201,17 @@ class TestInstances:
         from repro.sat import SolverStats
 
         bounds = Bounds(Universe(("a", "b"))).bound("r", 2)
-        collected = []
-        found = list(instances(ast.TrueF(), bounds, stats=collected))
-        assert len(collected) == len(found) == 16
-        assert all(isinstance(snap, SolverStats) for snap in collected)
-        assert all(snap.solves == 1 for snap in collected)
+        stats = SolverStats()
+        found = list(instances(ast.TrueF(), bounds, stats=stats))
+        assert stats.solves == len(found) == 16
 
     def test_solve_stats_collector(self):
         from repro.sat import SolverStats
 
         bounds = Bounds(U).bound("r", 2)
-        collected = []
-        assert solve(ast.SomeF(r), bounds, stats=collected) is not None
-        assert len(collected) == 1 and isinstance(collected[0], SolverStats)
+        stats = SolverStats()
+        assert solve(ast.SomeF(r), bounds, stats=stats) is not None
+        assert stats.solves == 1
 
 
 class TestSetVariables:

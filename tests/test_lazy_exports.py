@@ -156,8 +156,9 @@ def test_record_modules_import_only_the_standard_library():
         """
     )
     assert out.split() == [
-        "repro", "repro.cert", "repro.cert.records", "repro.sat",
-        "repro.sat.records", "repro.search", "repro.search.records",
+        "repro", "repro.cert", "repro.cert.records", "repro.core",
+        "repro.core.counters", "repro.sat", "repro.sat.records",
+        "repro.search", "repro.search.records",
     ]
 
 
