@@ -5,8 +5,9 @@
 :func:`register_sort_key` are what the litmus layer stores, compares,
 prints and serializes.  They live apart from the engine
 (:mod:`repro.search.ptx_search`) and import only the standard library
-(and the stdlib-only :mod:`repro.core.counters` base), so a process that only reads, caches or reports verdicts never loads the
-model, the relational language or the compiled kernel.
+(and the stdlib-only :mod:`repro.core.counters` base), so a process
+that only reads, caches or reports verdicts never loads the model, the
+relational language or the compiled kernel.
 """
 
 from __future__ import annotations

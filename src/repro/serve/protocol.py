@@ -27,7 +27,6 @@ from ..litmus.config import RunConfig
 from ..litmus.serialize import (
     result_to_dict,
     test_from_dict,
-    test_to_dict,
     verdict_digest,
 )
 from ..litmus.test import LitmusTest

@@ -1,8 +1,9 @@
 """The generic zoo engine: any declared model on the staged loop.
 
 Every :class:`~repro.zoo.model.ZooModel` runs on the staged rf → sc → co
-enumeration (:func:`repro.search.staged.staged_candidates`).  This module translates
-a declaration into a :class:`~repro.search.staged.StagedModel`: the
+enumeration (:func:`repro.search.staged.staged_candidates`).  This
+module translates a declaration into a
+:class:`~repro.search.staged.StagedModel`: the
 spec's axioms become the constraint list (``co_forced_from`` resolves to
 the derived relation it names), the static environment binds the
 signature's event sets and base relations from the program's one
